@@ -203,36 +203,34 @@ def variance_threshold(
 
 
 def threshold_alpha0(
-    sigma_level: float, p: float, grid_size: int = 2048
+    sigma_level: float, p: float, lambda_min: float = 1.0, lambda_max: float = 1.0
 ) -> float | NoThreshold:
-    """Smallest alpha0 in (p, 2) whose variance threshold lies below sigma_level.
+    """Smallest alpha0 in (p, 2] whose variance threshold lies at or below sigma_level.
 
-    The threshold map is scanned on a grid first (its monotonicity in alpha0
-    is not taken for granted) and the first satisfying bracket is refined by
-    bisection. Returns the NoThreshold sentinel if no grid point qualifies.
+    Bisects [p + 1e-4 (2 - p), 2] to a 1e-12 bracket and returns its upper
+    end. The map strictly decreases in alpha0: -log(alpha0) and -psi(1 - p/alpha0)
+    decrease (trigamma > 0), -alpha0^2 log(lambda_max/lambda_min) does not
+    increase. Returns the NoThreshold sentinel if alpha0 = 2 does not qualify.
     """
     if not sigma_level > 0:
         raise ParameterError(f"sigma_level must be positive, got {sigma_level}")
     if not (1.0 <= p < 2.0):
         raise ParameterError(f"p must lie in [1, 2), got {p}")
-    lo_edge = p + 1e-4 * (2.0 - p)
-    grid = np.linspace(lo_edge, 2.0, grid_size)
-    satisfied = [variance_threshold(a, p) <= sigma_level for a in grid]
-    try:
-        first = satisfied.index(True)
-    except ValueError:
+
+    def qualifies(alpha0: float) -> bool:
+        return variance_threshold(alpha0, p, lambda_min, lambda_max) <= sigma_level
+
+    lo, hi = p + 1e-4 * (2.0 - p), 2.0
+    if not qualifies(hi):
         return NO_THRESHOLD
-    if first == 0:
-        return float(grid[0])
-    lo, hi = float(grid[first - 1]), float(grid[first])
-    for _ in range(100):
+    if qualifies(lo):
+        return lo
+    while hi - lo >= 1e-12:
         mid = (lo + hi) / 2.0
-        if variance_threshold(mid, p) <= sigma_level:
+        if qualifies(mid):
             hi = mid
         else:
             lo = mid
-        if hi - lo < 1e-12:
-            break
     return hi
 
 

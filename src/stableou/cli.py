@@ -57,7 +57,6 @@ _ALLOWED_KEYS = {
         "eta",
         "steps",
         "noise_scale",
-        "burn_in",
         "seed",
         "n",
         "d",
@@ -214,7 +213,6 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
         eta=eta,
         steps=steps,
         alpha=alpha,
-        burn_in=cfg.get("burn_in"),
         noise_scale=noise_scale,
         allow_unstable=bool(cfg.get("allow_unstable", False)),
     )
@@ -296,7 +294,7 @@ def _cmd_threshold(cfg: dict, out_dir: Path) -> int:
         report["variance_threshold"] = variance_threshold(alpha0, p, lam_min, lam_max)
     if "sigma_level" in cfg:
         level = float(cfg["sigma_level"])
-        found = threshold_alpha0(level, p)
+        found = threshold_alpha0(level, p, lam_min, lam_max)
         report["sigma_level"] = level
         if isinstance(found, NoThreshold):
             report["threshold_alpha0"] = None

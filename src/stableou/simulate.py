@@ -73,15 +73,16 @@ class QuadraticProblem:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Discretization settings for one OU run."""
+    """Discretization settings for one OU run, compared and hashed by value."""
 
     eta: float
     steps: int
     alpha: float
     burn_in: Optional[int] = None
-    noise_matrix: Optional[np.ndarray] = None
+    noise_matrix: Optional[np.ndarray] = field(default=None, compare=False)
     noise_scale: float = 1.0
     allow_unstable: bool = False
+    _noise_key: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not (self.eta > 0.0):
@@ -99,10 +100,12 @@ class SimConfig:
         if not (self.noise_scale >= 0.0):
             raise ParameterError(f"noise_scale must be nonnegative, got {self.noise_scale}")
         if self.noise_matrix is not None:
-            m = np.asarray(self.noise_matrix, dtype=float)
+            m = np.array(self.noise_matrix, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ShapeError(f"noise_matrix must be square, got shape {m.shape}")
+            m.flags.writeable = False
             object.__setattr__(self, "noise_matrix", m)
+            object.__setattr__(self, "_noise_key", tuple(map(tuple, m.tolist())))
 
     def effective_noise(self, d: int) -> np.ndarray:
         """noise_scale * noise_matrix with the identity default, as a (d, d) array."""

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,53 @@ class TestThresholdAlpha0:
             threshold_alpha0(0.0, 1.0)
         with pytest.raises(ParameterError):
             threshold_alpha0(10.0, 2.0)
+        with pytest.raises(ParameterError):
+            threshold_alpha0(10.0, 1.0, lambda_min=2.0, lambda_max=1.0)
+
+    @pytest.mark.parametrize("p, alpha_star", [(1.0, 1.9), (1.0, 1.3), (1.5, 1.8)])
+    def test_round_trip_with_a_spectrum(self, p, alpha_star):
+        level = variance_threshold(alpha_star, p, 0.5, 2.0)
+        found = threshold_alpha0(level, p, 0.5, 2.0)
+        assert found == pytest.approx(alpha_star, abs=1e-9)
+        assert variance_threshold(found, p, 0.5, 2.0) <= level
+
+    @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("lam", [(1.0, 1.0), (0.5, 2.0), (0.1, 10.0)])
+    def test_threshold_map_strictly_decreases(self, p, lam):
+        # Bisection relies on this. Near p the exponent overflows and the map
+        # returns +inf, so the infinite values must form a prefix.
+        grid = np.linspace(p, 2.0, 20002)[1:]
+        values = np.array([variance_threshold(float(a), p, *lam) for a in grid])
+        finite = np.isfinite(values)
+        assert finite.any() and finite[np.argmax(finite):].all()
+        assert np.all(np.diff(np.log(values[finite])) < 0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("lam", [(1.0, 1.0), (0.5, 2.0), (0.1, 10.0)])
+    @pytest.mark.parametrize("level_factor", [1.5, 30.0, 1e4])
+    def test_matches_a_scipy_first_crossing(self, p, lam, level_factor):
+        log_ratio = math.log(lam[1] / lam[0])
+
+        def log_threshold(a):
+            return 1.0 + 2.0 / p - np.log(a) - scipy.special.digamma(1.0 - p / a) - a**2 * log_ratio
+
+        level = level_factor * math.exp(log_threshold(2.0))
+        grid = np.linspace(p + 1e-4 * (2.0 - p), 2.0, 20001)
+        excess = log_threshold(grid) - math.log(level)
+        first = int(np.flatnonzero(excess <= 0.0)[0])
+        assert first > 0
+        want = scipy.optimize.brentq(lambda a: log_threshold(a) - math.log(level),
+                      grid[first - 1], grid[first], xtol=1e-14, rtol=1e-14)
+        assert threshold_alpha0(level, p, *lam) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("lam", [(1.0, 1.0), (0.1, 10.0)])
+    def test_both_edges(self, p, lam):
+        # The map is +inf at the lower edge, so only an infinite level admits it.
+        assert threshold_alpha0(math.inf, p, *lam) == p + 1e-4 * (2.0 - p)
+        at_two = variance_threshold(2.0, p, *lam)
+        assert threshold_alpha0(at_two, p, *lam) == 2.0
+        assert threshold_alpha0(math.nextafter(at_two, 0.0), p, *lam) is NO_THRESHOLD
 
 
 class TestMonotonicityScan:

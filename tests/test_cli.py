@@ -123,6 +123,17 @@ class TestSimulate:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
 
+    def test_burn_in_key_is_rejected(self, tmp_path, capsys):
+        # The trajectory records every step from 0, so a burn-in key would change nothing.
+        cfg = write_config(tmp_path, "c.json", {
+            "alpha": 1.5, "steps": 50, "n": 30, "burn_in": 10,
+        })
+        code = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert err["message"] == "unknown config keys for 'simulate': burn_in"
+
 
 class TestBounds:
     def test_stable_surrogate_value(self, tmp_path):
@@ -183,6 +194,18 @@ class TestThreshold:
         report = json.loads((out / "threshold.json").read_text())
         assert report["no_threshold"] is False
         assert report["threshold_alpha0"] == pytest.approx(1.5, abs=1e-6)
+
+    def test_inverse_direction_honours_the_spectrum(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli(["threshold", "--sigma-level", "10", "--p", "1",
+                        "--lambda-min", "0.5", "--lambda-max", "2", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "threshold.json").read_text())
+        assert report["no_threshold"] is False
+        found = report["threshold_alpha0"]
+        assert 1.0 < found < 1.9
+        assert stableou.variance_threshold(found, 1.0, 0.5, 2.0) <= 10.0
+        assert stableou.variance_threshold(found - 1e-9, 1.0, 0.5, 2.0) > 10.0
 
     def test_unreachable_level_reports_no_threshold(self, tmp_path):
         out = tmp_path / "out"

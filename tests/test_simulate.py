@@ -76,6 +76,25 @@ class TestSimConfig:
         with pytest.raises(ShapeError):
             SimConfig(eta=0.1, steps=10, alpha=1.5, noise_matrix=np.ones((2, 3)))
 
+    def test_compares_and_hashes_by_value(self):
+        base = dict(eta=0.1, steps=10, alpha=1.5)
+        cfg = SimConfig(**base, noise_matrix=np.eye(2))
+        same = SimConfig(**base, noise_matrix=[[1.0, 0.0], [0.0, 1.0]])
+        assert cfg == same and hash(cfg) == hash(same)
+        assert cfg != SimConfig(**base, noise_matrix=np.diag([1.0, 2.0]))
+        assert cfg != SimConfig(**base)
+        assert cfg != SimConfig(**{**base, "eta": 0.2}, noise_matrix=np.eye(2))
+        assert SimConfig(**base) == SimConfig(**base)
+        assert len({cfg, same, SimConfig(**base)}) == 2
+
+    def test_noise_matrix_is_a_read_only_copy(self):
+        m = np.eye(2)
+        cfg = SimConfig(eta=0.1, steps=10, alpha=1.5, noise_matrix=m)
+        m[0, 0] = 5.0
+        assert cfg.noise_matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            cfg.noise_matrix[0, 0] = 5.0
+
     def test_effective_noise_defaults_to_scaled_identity(self):
         cfg = SimConfig(eta=0.1, steps=10, alpha=1.5, noise_scale=0.3)
         np.testing.assert_allclose(cfg.effective_noise(4), 0.3 * np.eye(4))
