@@ -1,10 +1,10 @@
 """Gamma and digamma for the closed-form stability bounds.
 
-Self-contained float64 implementations: Lanczos for gamma, the
-recurrence-plus-asymptotic-series route for digamma, both with the usual
-reflection formulas on the negative axis. Accuracy targets: relative
-1e-10 for gamma on [0.05, 50], absolute 1e-10 for digamma on (0.01, 50);
-the test suite checks both against an independent library oracle.
+Gamma is the standard library's `math.gamma` (within a few ulps) behind
+the pole checks. Digamma has no standard-library equivalent: it takes the
+recurrence-plus-asymptotic-series route, with the reflection formula on the
+negative axis, to absolute 1e-10 on (0.01, 50). The test suite checks both
+against independent library oracles.
 """
 
 from __future__ import annotations
@@ -12,20 +12,6 @@ from __future__ import annotations
 import math
 
 from .errors import PoleError
-
-# Lanczos coefficients for g = 7, truncated at 9 terms.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # Asymptotic tail of psi(x) ~ ln x - 1/(2x) - sum B_2k / (2k x^2k),
 # coefficients of x^{-2}, x^{-4}, ... ; valid once x >= _PSI_SHIFT_POINT.
@@ -52,15 +38,7 @@ def gamma_fn(x: float) -> float:
         raise PoleError("gamma_fn is undefined at nan")
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma_fn has a pole at {x}")
-    if x < 0.5:
-        # Reflection keeps the Lanczos sum on arguments >= 0.5.
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def digamma(x: float) -> float:

@@ -20,6 +20,15 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DegenerateDataError, ParameterError, ShapeError
 
+# Quadrature settings: the node count doubles from _INITIAL_NODES until two
+# successive estimates agree to _REL_TOL (or _ABS_TOL), or fails past
+# _MAX_NODES; the horizon cuts the integral's analytic tail at _TAIL_TOL.
+_INITIAL_NODES = 64
+_MAX_NODES = 8192
+_TAIL_TOL = 1e-10
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -37,18 +46,7 @@ class StationaryCharFn:
     Immutable afterwards, so concurrent evaluation is safe.
     """
 
-    def __init__(
-        self,
-        A,
-        alpha: float,
-        Sigma=None,
-        *,
-        initial_nodes: int = 64,
-        max_nodes: int = 8192,
-        tail_tol: float = 1e-10,
-        rel_tol: float = 1e-9,
-        abs_tol: float = 1e-12,
-    ):
+    def __init__(self, A, alpha: float, Sigma=None):
         A = np.asarray(A, dtype=float)
         if A.ndim == 0:
             A = A.reshape(1, 1)
@@ -79,11 +77,6 @@ class StationaryCharFn:
             self.Sigma = Sigma
             self._m = Sigma.T @ q
             self._sigma_norm = float(np.linalg.norm(Sigma, 2))
-        self.initial_nodes = int(initial_nodes)
-        self.max_nodes = int(max_nodes)
-        self.tail_tol = float(tail_tol)
-        self.rel_tol = float(rel_tol)
-        self.abs_tol = float(abs_tol)
 
     def _integrand(self, s: np.ndarray, w: np.ndarray) -> np.ndarray:
         decay = np.exp(-np.outer(s, self.eigenvalues)) * w[None, :]
@@ -106,37 +99,33 @@ class StationaryCharFn:
         alpha = self.alpha
         lam_min = float(self.eigenvalues[0])
         # Horizon from the analytic tail bound
-        # integral_T^inf (||Sigma|| ||u|| e^{-lam_min s})^alpha ds < tail_tol.
+        # integral_T^inf (||Sigma|| ||u|| e^{-lam_min s})^alpha ds < _TAIL_TOL.
         lead = (self._sigma_norm * unorm) ** alpha
-        horizon = math.log(max(lead / (alpha * lam_min * self.tail_tol), 2.0)) / (alpha * lam_min)
+        horizon = math.log(max(lead / (alpha * lam_min * _TAIL_TOL), 2.0)) / (alpha * lam_min)
 
         w = self._q.T @ u
         half = horizon / 2.0
-        n = self.initial_nodes
+        n = _INITIAL_NODES
         previous = None
-        while n <= self.max_nodes:
+        while n <= _MAX_NODES:
             nodes, weights = _gauss_nodes(n)
             s = half * (nodes + 1.0)
             value = half * float(weights @ self._integrand(s, w))
             if previous is not None and abs(value - previous) <= max(
-                self.rel_tol * abs(value), self.abs_tol
+                _REL_TOL * abs(value), _ABS_TOL
             ):
                 return value
             previous = value
             n *= 2
         raise AccuracyError(
-            f"quadrature did not converge within {self.max_nodes} nodes "
+            f"quadrature did not converge within {_MAX_NODES} nodes "
             f"(best estimate {previous:.12g})",
             estimate=previous,
         )
 
     def evaluate(self, u) -> float:
+        """psi(u) = exp(-integral); real in (0, 1] by rotational symmetry of the driver."""
         return math.exp(-self.exponent(u))
-
-
-def char_fn_stationary(sc: StationaryCharFn, u) -> float:
-    """psi(u) = exp(-integral); real in (0, 1] by rotational symmetry of the driver."""
-    return sc.evaluate(u)
 
 
 def stationary_1d_params(X, y, alpha: float) -> tuple[float, float]:

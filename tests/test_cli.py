@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import stableou
 from stableou import read_run_records
-from stableou.cli import run_cli
+from stableou.cli import _DEFAULTS, _build_parser, run_cli
 
 
 def write_config(tmp_path, name, payload):
@@ -264,6 +265,27 @@ class TestSweep:
         assert run_cli(["sweep", "--config", str(replay), "--out", str(out2)]) == 0
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
 
+    def test_integral_floats_are_coerced(self, tmp_path):
+        cfg = write_config(tmp_path, "s.json", {**SWEEP_CFG, "n": 40.0, "replications": 2.0})
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_run_records(out / "records.csv")) == 4
+
+    def test_group_with_no_finite_median_skips_its_plot(self, tmp_path, capsys):
+        # At alpha = 0.01 every replication overflows, so a=2, d=1 has no curve to draw.
+        cfg = write_config(tmp_path, "s.json", {
+            "alpha_grid": [0.01], "a_grid": [2.0], "d_grid": [1], "n": 40,
+            "population_size": 400, "replications": 2, "steps": 3000,
+            "noise_scale": 1.0, "p": 2.0, "master_seed": 1,
+        })
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "skipped sweep_a2_d1.svg" in stdout
+        assert "wrote 2 records (2 diverged) and 1 aggregate rows" in stdout
+        assert not (out / "sweep_a2_d1.svg").exists()
+        assert read_manifest(out)["outputs"] == ["aggregate.csv", "records.csv"]
+
     def test_missing_grids_fail(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", {"alpha_grid": [1.5]})
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -331,6 +353,23 @@ class TestVerifyCharfn:
         assert rows[0] == ["u", "analytic", "empirical", "absdiff"]
         assert len(rows) == 26
 
+    def test_simulation_mode_is_checked_against_the_chain_law(self, tmp_path):
+        # This seed missed the tolerance (max gap 0.068) when the check used
+        # eta = 0.01, whose thinned draws are strongly correlated, and the
+        # continuous-time law instead of the chain's own.
+        out = tmp_path / "out"
+        code = run_cli(["verify-charfn", "--d", "1", "--alpha", "1.2", "--seed", "3",
+                        "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "verify.json").read_text())
+        assert report["passed"] is True
+        assert report["max_gap"] <= 0.05
+
+    def test_nonpositive_drift_fails(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"alpha": 1.5, "s": 0.0})
+        assert run_cli(["verify-charfn", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
     def test_absurd_tolerance_exits_two_but_writes_report(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(["verify-charfn", "--alpha", "1.5", "--d", "2",
@@ -339,6 +378,76 @@ class TestVerifyCharfn:
         report = json.loads((out / "verify.json").read_text())
         assert report["passed"] is False
         assert json.loads(capsys.readouterr().err)["error"] == "AccuracyError"
+
+
+# The config keys each subcommand accepts, pinned so that its table cannot drift.
+ACCEPTED_KEYS = {
+    "sample": {"kind", "alpha", "sigma", "d", "count", "seed"},
+    "simulate": {"alpha", "eta", "steps", "noise_scale", "seed", "n", "d", "a", "data_csv",
+                 "allow_unstable"},
+    "bounds": {"R", "n", "p", "alpha", "sigma2", "sigma", "sigma_min", "lambda_min",
+               "lambda_max", "delta1", "delta2", "dimension", "general_sigma"},
+    "threshold": {"alpha0", "p", "sigma_level", "lambda_min", "lambda_max"},
+    "sweep": {"alpha_grid", "a_grid", "d_grid", "n", "population_size", "replications", "p",
+              "eta", "steps", "noise_scale", "master_seed", "svg"},
+    "estimate-tail": {"input_csv", "K1", "K2", "median_center"},
+    "verify-charfn": {"alpha", "d", "s", "n_points", "u_max", "tolerance", "seed"},
+}
+
+
+def _replay_case(command, tmp_path):
+    """(config file contents or None, flags) for one run of each subcommand."""
+    if command == "estimate-tail":
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("x_1\n" + "".join(
+            f"{v!r}\n" for v in np.random.default_rng(3).standard_cauchy(400).tolist()))
+        return None, ["--input-csv", str(data_csv), "--k1", "10", "--k2", "20",
+                      "--median-center"]
+    return {
+        "sample": (None, ["--kind", "isotropic", "--alpha", "1.3", "--d", "2",
+                          "--count", "50", "--seed", "4"]),
+        "simulate": (None, ["--alpha", "1.5", "--eta", "0.05", "--steps", "100", "--n", "30",
+                            "--d", "2", "--seed", "5"]),
+        "bounds": (None, ["--dimension", "dd", "--general-sigma", "--p", "1.0",
+                          "--alpha", "1.5", "--n", "500"]),
+        "threshold": (None, ["--p", "1.0", "--alpha0", "1.5", "--sigma-level", "300"]),
+        "sweep": (SWEEP_CFG, ["--replications", "1"]),
+        "verify-charfn": (None, ["--alpha", "1.5", "--d", "2", "--seed", "1"]),
+    }[command]
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+    def test_manifest_config_replays_byte_identically(self, command, tmp_path):
+        payload, flags = _replay_case(command, tmp_path)
+        config = []
+        if payload is not None:
+            config = ["--config", str(write_config(tmp_path, "c.json", payload))]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli([command, *config, *flags, "--out", str(out1)]) == 0
+        replay = write_config(tmp_path, "replay.json", read_manifest(out1)["config"])
+        assert run_cli([command, "--config", str(replay), "--out", str(out2)]) == 0
+        names = read_manifest(out1)["outputs"] + ["manifest.json"]
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_every_flag_is_a_config_key(self):
+        parser = _build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == set(_DEFAULTS)
+        for command, sp in subparsers.choices.items():
+            dests = {a.dest for a in sp._actions} - {"help", "config", "out"}
+            assert dests <= set(_DEFAULTS[command]), command
+
+    @pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+    def test_accepts_exactly_the_same_keys(self, command, tmp_path, capsys):
+        assert set(_DEFAULTS[command]) == ACCEPTED_KEYS[command]
+        # Every accepted key passes the unknown-key check; only the stray one is named.
+        payload = {**dict.fromkeys(ACCEPTED_KEYS[command]), "stray": 1}
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == f"unknown config keys for '{command}': stray"
 
 
 class TestPlumbing:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -44,6 +45,14 @@ def test_gamma_matches_scipy_on_positive_axis():
     ours = np.array([gamma_fn(x) for x in grid])
     ref = scipy.special.gamma(grid)
     np.testing.assert_allclose(ours, ref, rtol=1e-10)
+
+
+def test_gamma_matches_mpmath_to_a_few_ulps():
+    grid = np.concatenate([np.geomspace(0.05, 50.0, 400), np.linspace(-4.95, 0.45, 300)])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.gamma(mpmath.mpf(float(x)))) for x in grid])
+    ours = np.array([gamma_fn(x) for x in grid])
+    np.testing.assert_allclose(ours, ref, rtol=5e-15)
 
 
 def test_gamma_matches_scipy_at_negative_noninteger_points():

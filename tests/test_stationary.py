@@ -17,7 +17,6 @@ from stableou import (
     char_fn_diff_bound_1d,
     char_fn_diff_bound_dd,
     char_fn_diff_exact,
-    char_fn_stationary,
     rank2_eigenvalues,
     stationary_1d_params,
 )
@@ -75,7 +74,7 @@ class TestConstruction:
 class TestClosedForms:
     def test_value_at_origin_is_one(self):
         sc = StationaryCharFn(np.eye(3), 1.3)
-        assert char_fn_stationary(sc, np.zeros(3)) == 1.0
+        assert sc.evaluate(np.zeros(3)) == 1.0
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
     @pytest.mark.parametrize("d", [2, 10])
@@ -85,7 +84,7 @@ class TestClosedForms:
         for _ in range(20):
             u = gen.standard_normal(d)
             target = math.exp(-np.linalg.norm(u) ** alpha / alpha)
-            assert char_fn_stationary(sc, u) == pytest.approx(target, rel=1e-6)
+            assert sc.evaluate(u) == pytest.approx(target, rel=1e-6)
 
     @pytest.mark.parametrize("alpha, s", [(1.2, 0.5), (1.7, 2.0), (2.0, 1.0)])
     def test_one_dimensional_closed_form(self, alpha, s):
@@ -154,10 +153,11 @@ class TestShapeInvariants:
             sc.evaluate(np.ones(3))
 
 
-def test_non_convergence_raises_with_estimate():
+def test_non_convergence_raises_with_estimate(monkeypatch):
     # A single quadrature pass cannot certify convergence, so capping the
     # node budget at the initial count must fail with the estimate attached.
-    sc = StationaryCharFn(np.eye(2), 1.5, initial_nodes=64, max_nodes=64)
+    monkeypatch.setattr("stableou.stationary._MAX_NODES", 64)
+    sc = StationaryCharFn(np.eye(2), 1.5)
     with pytest.raises(AccuracyError) as info:
         sc.exponent(np.ones(2))
     assert info.value.estimate is not None
