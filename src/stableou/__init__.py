@@ -16,7 +16,6 @@ from .bounds import (
     NoThreshold,
     StabilityRegime,
     alpha_factor,
-    alpha_factor_log_slope,
     classify_regime,
     lower_bound_1d,
     monotonicity_scan,
@@ -82,9 +81,7 @@ from .stationary import (
 )
 from .tail import (
     TailEstimate,
-    ergodic_average,
     estimate_tail_index,
-    estimate_tail_index_grouped,
     median_center,
 )
 
@@ -113,7 +110,6 @@ __all__ = [
     "UnstableRegimeError",
     "aggregate_median_iqr",
     "alpha_factor",
-    "alpha_factor_log_slope",
     "cauchy_doubling_check",
     "char_fn_diff_bound_1d",
     "char_fn_diff_bound_dd",
@@ -124,9 +120,7 @@ __all__ = [
     "digamma",
     "empirical_char_fn",
     "empirical_stability_gap",
-    "ergodic_average",
     "estimate_tail_index",
-    "estimate_tail_index_grouped",
     "euler_maruyama_run",
     "gamma_fn",
     "generalization_error",

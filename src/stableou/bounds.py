@@ -290,16 +290,3 @@ def alpha_factor(alpha: float, p: float, sigma_sq: float) -> float:
         * (1.0 / (alpha * sigma_sq)) ** (p / alpha)
         * gamma_fn(1.0 - p / alpha)
     )
-
-
-def alpha_factor_log_slope(alpha: float, p: float, sigma_sq: float) -> float:
-    """Closed-form d/d(alpha) of log(alpha_factor):
-
-    (p/alpha^2) [log(alpha) + log(sigma_sq) - 1 - alpha/p + psi(1 - p/alpha)].
-    """
-    if not p < alpha:
-        raise ParameterError(f"need p < alpha, got p={p}, alpha={alpha}")
-    bracket = (
-        math.log(alpha) + math.log(sigma_sq) - 1.0 - alpha / p + digamma(1.0 - p / alpha)
-    )
-    return (p / alpha**2) * bracket

@@ -50,7 +50,14 @@ from .sampling import (
     sample_sas_scalar,
     sample_skewed_positive_stable,
 )
-from .simulate import QuadraticProblem, SimConfig, euler_maruyama_run, stationary_sample, trajectory_to_csv
+from .simulate import (
+    QuadraticProblem,
+    SimConfig,
+    default_burn_in,
+    euler_maruyama_run,
+    stationary_sample,
+    trajectory_to_csv,
+)
 from .stationary import StationaryCharFn
 from .tail import estimate_tail_index, median_center
 
@@ -297,8 +304,7 @@ def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
         steps, n_samples = 100000, 10000
         problem = QuadraticProblem(math.sqrt(s) * np.ones(100))
         sim = SimConfig(eta=eta, steps=steps, alpha=alpha, noise_scale=1.0)
-        burn = int(math.ceil(10.0 / (eta * s)))
-        thinning = max(1, (steps - burn) // n_samples)
+        thinning = max(1, (steps - default_burn_in(problem, sim)) // n_samples)
         samples = stationary_sample(problem, sim, stream, n_samples, thinning=thinning)
         # The chain's exact stationary law: scale^alpha = eta / (1 - |1 - eta s|^alpha).
         scale_alpha = eta / (1.0 - abs(1.0 - eta * s) ** alpha)

@@ -12,15 +12,29 @@ import csv
 import dataclasses
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import StabilityRegime, classify_regime
-from .errors import DegenerateDataError, ParameterError, ShapeError, UnstableRegimeError
+from .errors import (
+    AccuracyError,
+    DegenerateDataError,
+    ParameterError,
+    ShapeError,
+    UnstableRegimeError,
+)
 from .rng import RngStream
 from .sampling import StableParams, sample_isotropic_stable
-from .simulate import QuadraticProblem, SimConfig, euler_maruyama_run
+from .simulate import (
+    QuadraticProblem,
+    SimConfig,
+    _recursion,
+    check_step_size,
+    default_burn_in,
+    euler_maruyama_run,
+)
 from .stationary import NeighborPair
 
 RUN_RECORD_COLUMNS = ("replication", "alpha", "a", "d", "n", "p", "seed", "gen_error", "diverged")
@@ -221,47 +235,34 @@ def _coupled_stationary_draws(
     # Both chains are driven by the SAME noise realizations (common random
     # numbers); the O(1/n) gap between the two stationary means would
     # otherwise drown in Monte-Carlo error at any affordable sample size.
-    problem = QuadraticProblem(pair.X)
-    problem_hat = QuadraticProblem(pair.X_hat)
-    d = pair.d
-    for prob in (problem, problem_hat):
-        if sim.eta * prob.lambda_max >= 2.0 and not sim.allow_unstable:
-            raise ParameterError(
-                f"eta * lambda_max = {sim.eta * prob.lambda_max:.4g} >= 2; "
-                "the recursion has no stationary law"
-            )
-    lam_min = min(problem.lambda_min, problem_hat.lambda_min)
-    if lam_min <= 0.0:
+    problems = (QuadraticProblem(pair.X), QuadraticProblem(pair.X_hat))
+    check_step_size(max(problems, key=lambda prob: prob.lambda_max), sim)
+    slowest = min(problems, key=lambda prob: prob.lambda_min)
+    if slowest.lambda_min <= 0.0:
         raise DegenerateDataError(
-            f"smallest Gram eigenvalue is {lam_min:.4g}; the chains do not mix"
+            f"smallest Gram eigenvalue is {slowest.lambda_min:.4g}; the chains do not mix"
         )
-    if sim.burn_in is not None:
-        burn = sim.burn_in
-    else:
-        needed = int(math.ceil(10.0 / (sim.eta * lam_min)))
-        burn = min(needed, sim.steps)
-        if burn < needed:
-            warnings.warn(
-                f"steps={sim.steps} is below the recommended burn-in {needed}; "
-                "draws may retain initialization bias",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    contraction = np.eye(d) - sim.eta * problem.A
-    contraction_hat = np.eye(d) - sim.eta * problem_hat.A
+    burn = default_burn_in(slowest, sim)
+    d = pair.d
     sig = sim.effective_noise(d)
     scale = sim.eta ** (1.0 / sim.alpha)
     params = StableParams(alpha=sim.alpha, sigma=1.0)
     noise_stream = stream.fork(0)
-    theta = np.zeros((n_mc, d))
-    theta_hat = np.zeros((n_mc, d))
-    for _ in range(burn):
-        shock = scale * (
-            sample_isotropic_stable(d, params, noise_stream, size=n_mc) @ sig.T
+    shocks = (
+        (scale * (sample_isotropic_stable(d, params, noise_stream, size=n_mc) @ sig.T)).T
+        for _ in range(burn)
+    )
+    # Chain j of dataset i is column j of state[i].
+    state = np.zeros((2, d, n_mc))
+    A = np.stack([prob.A for prob in problems])
+    b = np.stack([prob.b for prob in problems])[:, :, None]
+    last = deque(enumerate(_recursion(state, A, b, sim.eta, shocks), 1), maxlen=1)
+    done, state = last.pop() if last else (0, state)
+    if done < burn:
+        raise AccuracyError(
+            f"coupled chains overflowed at step {done + 1} of a {burn}-step burn-in"
         )
-        theta = theta @ contraction.T + shock
-        theta_hat = theta_hat @ contraction_hat.T + shock
-    return theta, theta_hat
+    return state[0].T, state[1].T
 
 
 def empirical_stability_gap(

@@ -96,6 +96,8 @@ def sample_skewed_positive_stable(alpha_prime: float, stream: RngStream, size: i
     This is the totally skewed (beta=1) stable law on (0, inf), generated by
     the Chambers-Mallows-Stuck transform with the skew angle at its maximum.
     In this Laplace-transform normalization no extra scale factor is needed.
+    At small alpha_prime a draw whose exact value lies outside float range
+    comes out as +inf or nan, without a numpy warning.
     """
     if not (0.0 < alpha_prime < 1.0):
         raise ParameterError(f"alpha_prime must lie in (0, 1), got {alpha_prime}")
@@ -107,11 +109,12 @@ def sample_skewed_positive_stable(alpha_prime: float, stream: RngStream, size: i
     u = _uniform_angles(gen, n)
     w = _positive_exponentials(gen, n)
     shifted = alpha_prime * (u + np.pi / 2.0)
-    a = (
-        np.sin(shifted)
-        / np.cos(u) ** (1.0 / alpha_prime)
-        * (np.cos(u - shifted) / w) ** ((1.0 - alpha_prime) / alpha_prime)
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = (
+            np.sin(shifted)
+            / np.cos(u) ** (1.0 / alpha_prime)
+            * (np.cos(u - shifted) / w) ** ((1.0 - alpha_prime) / alpha_prime)
+        )
     return float(a[0]) if size is None else a
 
 
@@ -121,7 +124,10 @@ def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, siz
     Construction: X = sigma * sqrt(2 A) * G with G standard Gaussian and A
     the positive (alpha/2)-stable subordinator above, giving
     E[exp(i <u, X>)] = exp(-sigma^alpha ||u||^alpha). alpha=2 short-circuits
-    to sigma * sqrt(2) * G since the subordinator degenerates there.
+    to sigma * sqrt(2) * G since the subordinator degenerates there. At
+    small alpha a draw whose exact value lies outside float range comes out
+    as +inf or nan, without a numpy warning; the recursion reports such a
+    draw as divergence.
 
     Returns shape (d,) when ``size`` is None, else (size, d).
     """
@@ -139,7 +145,8 @@ def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, siz
     else:
         a = sample_skewed_positive_stable(alpha / 2.0, stream, size=n)
         g = gen.standard_normal((n, d))
-        x = sigma * np.sqrt(2.0 * a)[:, None] * g
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = sigma * np.sqrt(2.0 * a)[:, None] * g
     return x[0] if size is None else x
 
 

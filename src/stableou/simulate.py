@@ -117,17 +117,6 @@ class SimConfig:
             )
         return self.noise_scale * self.noise_matrix
 
-    def snapshot(self) -> dict:
-        return {
-            "eta": self.eta,
-            "steps": self.steps,
-            "alpha": self.alpha,
-            "burn_in": self.burn_in,
-            "noise_matrix": None if self.noise_matrix is None else self.noise_matrix.tolist(),
-            "noise_scale": self.noise_scale,
-            "allow_unstable": self.allow_unstable,
-        }
-
 
 @dataclass
 class Trajectory:
@@ -135,7 +124,6 @@ class Trajectory:
 
     iterates: np.ndarray
     seed_provenance: dict
-    config_snapshot: dict
     diverged: bool = False
 
     def __len__(self) -> int:
@@ -147,12 +135,58 @@ class Trajectory:
 
 
 def default_burn_in(problem: QuadraticProblem, config: SimConfig) -> int:
-    """Ten mixing-time estimates 1/(eta * lambda_min), capped at steps - 1."""
+    """config.burn_in if set, else ten mixing times 1/(eta * lambda_min) capped at steps - 1.
+
+    Warns when exp(-lambda_min * eta * burn_in) stays at or above 1e-4: the
+    draws after such a burn-in still carry some of the initial point.
+    """
     lam = problem.lambda_min
-    if lam <= 0.0:
-        return config.steps - 1
-    est = int(math.ceil(_BURN_IN_MIXING_TIMES / (config.eta * lam)))
-    return min(est, config.steps - 1)
+    if config.burn_in is not None:
+        burn_in = config.burn_in
+    elif lam <= 0.0:
+        burn_in = config.steps - 1
+    else:
+        est = int(math.ceil(_BURN_IN_MIXING_TIMES / (config.eta * lam)))
+        burn_in = min(est, config.steps - 1)
+    if lam <= 0.0 or math.exp(-lam * config.eta * burn_in) >= _BURN_IN_TOL:
+        warnings.warn(
+            f"burn-in of {burn_in} steps may be too short to reach stationarity "
+            f"(lambda_min = {lam:.4g}, eta = {config.eta:.4g})",
+            stacklevel=3,
+        )
+    return burn_in
+
+
+def check_step_size(problem: QuadraticProblem, config: SimConfig) -> None:
+    """Reject eta * lambda_max >= 2, where the noiseless recursion diverges.
+
+    With config.allow_unstable the run goes ahead after a warning.
+    """
+    contraction = config.eta * problem.lambda_max
+    if contraction >= 2.0:
+        if not config.allow_unstable:
+            raise ParameterError(
+                f"eta * lambda_max = {contraction:.4g} >= 2 diverges without noise; "
+                "set allow_unstable=True to force the run"
+            )
+        warnings.warn(
+            f"eta * lambda_max = {contraction:.4g} >= 2: the noiseless recursion diverges",
+            stacklevel=3,
+        )
+
+
+def _recursion(theta, A, b, eta, shocks):
+    """Yield theta <- theta - eta * (A theta - b) + shock for each shock in turn.
+
+    theta is a (d,) state, or a stack of column states such as (2, d, n_mc)
+    with A of shape (2, d, d). Stops before the first iterate that is
+    non-finite or has a coordinate above OVERFLOW_LIMIT in magnitude.
+    """
+    for shock in shocks:
+        theta = theta - eta * (A @ theta - b) + shock
+        if not np.all(np.abs(theta) <= OVERFLOW_LIMIT):
+            return
+        yield theta
 
 
 def euler_maruyama_run(
@@ -173,18 +207,7 @@ def euler_maruyama_run(
     theta0 = np.asarray(theta0, dtype=float).reshape(-1)
     if theta0.shape[0] != d:
         raise ShapeError(f"theta0 has length {theta0.shape[0]} but the problem dimension is {d}")
-
-    contraction = config.eta * problem.lambda_max
-    if contraction >= 2.0:
-        if not config.allow_unstable:
-            raise ParameterError(
-                f"eta * lambda_max = {contraction:.4g} >= 2 diverges without noise; "
-                "set allow_unstable=True to force the run"
-            )
-        warnings.warn(
-            f"eta * lambda_max = {contraction:.4g} >= 2: the noiseless recursion diverges",
-            stacklevel=2,
-        )
+    check_step_size(problem, config)
 
     sigma_eff = config.effective_noise(d)
     steps = config.steps
@@ -193,32 +216,24 @@ def euler_maruyama_run(
 
     if config.noise_scale > 0.0:
         e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=steps)
-        noise = (config.eta ** (1.0 / config.alpha)) * (e @ sigma_eff.T)
+        # An infinite draw times a zero of sigma_eff is nan; the recursion
+        # reports either as divergence.
+        with np.errstate(invalid="ignore", over="ignore"):
+            noise = (config.eta ** (1.0 / config.alpha)) * (e @ sigma_eff.T)
     else:
         noise = np.zeros((steps, d))
 
     iterates = np.empty((steps + 1, d))
     iterates[0] = theta0
-    theta = theta0.copy()
-    a_mat = problem.A
-    b_vec = problem.b
-    eta = config.eta
-    diverged = False
-    last = steps
-    for k in range(steps):
-        theta = theta - eta * (a_mat @ theta - b_vec) + noise[k]
-        if not np.all(np.abs(theta) <= OVERFLOW_LIMIT):
-            diverged = True
-            last = k
-            break
-        iterates[k + 1] = theta
+    last = 0
+    for last, theta in enumerate(_recursion(theta0, problem.A, problem.b, config.eta, noise), 1):
+        iterates[last] = theta
 
     provenance = stream.describe() if stream is not None else {"seed": None, "path": []}
     return Trajectory(
         iterates=iterates[: last + 1],
         seed_provenance=provenance,
-        config_snapshot=config.snapshot(),
-        diverged=diverged,
+        diverged=last < steps,
     )
 
 
@@ -231,9 +246,9 @@ def stationary_sample(
 ) -> np.ndarray:
     """Approximate stationary draws: post-burn-in iterates every ``thinning`` steps.
 
-    Returns an (n_samples, d) array. Burn-in defaults to ten mixing times;
-    a burn-in too short for exp(-lambda_min eta burn_in) < 1e-4 only warns,
-    since the draws are still usable as rough approximations.
+    Returns an (n_samples, d) array. The burn-in is ``default_burn_in``'s,
+    which only warns when it is short, since the draws are still usable as
+    rough approximations.
     """
     n_samples = int(n_samples)
     thinning = int(thinning)
@@ -244,19 +259,12 @@ def stationary_sample(
     if n_samples == 0:
         return np.empty((0, problem.d))
 
-    burn_in = config.burn_in if config.burn_in is not None else default_burn_in(problem, config)
+    burn_in = default_burn_in(problem, config)
     needed = burn_in + n_samples * thinning
     if needed > config.steps:
         raise ParameterError(
             f"config.steps = {config.steps} cannot supply {n_samples} samples with "
             f"thinning {thinning} after a burn-in of {burn_in} (needs {needed})"
-        )
-    lam = problem.lambda_min
-    if lam <= 0.0 or math.exp(-lam * config.eta * burn_in) >= _BURN_IN_TOL:
-        warnings.warn(
-            f"burn-in of {burn_in} steps may be too short to reach stationarity "
-            f"(lambda_min = {lam:.4g}, eta = {config.eta:.4g})",
-            stacklevel=2,
         )
 
     traj = euler_maruyama_run(problem, config, theta0=None, stream=stream)

@@ -3,8 +3,8 @@
 The estimator exploits the stability property of alpha-stable sums: the
 Euclidean norm of a block sum of K1 samples grows like K1^(1/alpha), so the
 gap between mean log norms of block sums and of raw samples, divided by
-log K1, estimates 1/alpha. Preprocessing helpers (ergodic averaging, median
-centering) match how iterates are prepared before estimation.
+log K1, estimates 1/alpha. Median centering matches how iterates are
+prepared before estimation.
 """
 
 from __future__ import annotations
@@ -87,24 +87,6 @@ def estimate_tail_index(vectors, K1: int, K2: int) -> TailEstimate:
     return TailEstimate(
         alpha_hat=float(1.0 / inv_alpha), K1=int(K1), K2=int(K2), sample_count_used=needed
     )
-
-
-def estimate_tail_index_grouped(groups, K1: int, K2: int) -> float:
-    """Mean of per-group tail estimates, for per-layer-then-average protocols."""
-    groups = list(groups)
-    if not groups:
-        raise ShapeError("need at least one group of vectors")
-    return float(np.mean([estimate_tail_index(g, K1, K2).alpha_hat for g in groups]))
-
-
-def ergodic_average(trajectory, window: int):
-    """Arithmetic mean of the last `window` points of a trajectory."""
-    arr = _as_sample_matrix(trajectory)
-    if window < 1:
-        raise ShapeError(f"window must be positive, got {window}")
-    if window > arr.shape[0]:
-        raise ShapeError(f"window {window} exceeds trajectory length {arr.shape[0]}")
-    return arr[-window:].mean(axis=0)
 
 
 def median_center(samples) -> np.ndarray:

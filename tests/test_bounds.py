@@ -14,7 +14,6 @@ from stableou import (
     ParameterError,
     StabilityRegime,
     alpha_factor,
-    alpha_factor_log_slope,
     classify_regime,
     lower_bound_1d,
     monotonicity_scan,
@@ -298,7 +297,7 @@ class TestAlphaFactor:
         fd = (
             math.log(alpha_factor(alpha + h, p, s2)) - math.log(alpha_factor(alpha - h, p, s2))
         ) / (2.0 * h)
-        assert alpha_factor_log_slope(alpha, p, s2) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        assert _log_slope(alpha, p, s2) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_slope_sign_flips_at_the_critical_variance(self):
         # The slope at alpha vanishes at exp(1 + alpha/p - log(alpha)
@@ -309,11 +308,23 @@ class TestAlphaFactor:
         critical = math.exp(
             1.0 + alpha / p - math.log(alpha) - scipy.special.psi(1.0 - p / alpha)
         )
-        assert alpha_factor_log_slope(alpha, p, critical * 1.01) > 0.0
-        assert alpha_factor_log_slope(alpha, p, critical * 0.99) < 0.0
-        assert alpha_factor_log_slope(alpha, p, critical) == pytest.approx(0.0, abs=1e-10)
+        assert _log_slope(alpha, p, critical * 1.01) > 0.0
+        assert _log_slope(alpha, p, critical * 0.99) < 0.0
+        assert _log_slope(alpha, p, critical) == pytest.approx(0.0, abs=1e-10)
         slack = variance_threshold(alpha, p) / critical
         assert slack == pytest.approx(math.exp((2.0 - alpha) / p), rel=1e-10)
+
+
+def _log_slope(alpha, p, sigma_sq):
+    """d/d(alpha) of log(alpha_factor), the derivation behind variance_threshold:
+
+    (p/alpha^2) [log(alpha) + log(sigma_sq) - 1 - alpha/p + psi(1 - p/alpha)].
+    """
+    bracket = (
+        math.log(alpha) + math.log(sigma_sq) - 1.0 - alpha / p
+        + scipy.special.psi(1.0 - p / alpha)
+    )
+    return (p / alpha**2) * bracket
 
 
 class TestLowerBound1d:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stableou import (
+    AccuracyError,
     DegenerateDataError,
     NeighborPair,
     ParameterError,
@@ -12,6 +13,7 @@ from stableou import (
     ShapeError,
     SimConfig,
     StabilityGapEstimate,
+    StableParams,
     SweepConfig,
     UnstableRegimeError,
     aggregate_median_iqr,
@@ -23,12 +25,14 @@ from stableou import (
     read_run_records,
     replay_record,
     run_synthetic_sweep,
+    sample_isotropic_stable,
     sas_abs_moment,
     surrogate_risk,
     write_aggregate,
     write_run_records,
     write_sweep_svg,
 )
+from stableou.experiments import _coupled_stationary_draws
 
 TINY_SWEEP = dict(
     alpha_grid=(1.5, 2.0),
@@ -328,6 +332,41 @@ class TestEmpiricalStabilityGap:
         pair = make_1d_pair()
         sim = SimConfig(eta=1.9, steps=100, alpha=1.5, noise_scale=1.0)
         with pytest.raises(ParameterError):
+            empirical_stability_gap(
+                pair, default_probe_points(pair, 1.0), 1.0, 1.5, sim, 200, RngStream(0)
+            )
+
+    def test_stacked_chains_match_separate_loops(self):
+        # The two datasets' chains step as one stacked state; replaying the
+        # same shocks through one plain loop per dataset must agree.
+        gen = RngStream(98).generator
+        X = gen.normal(size=(30, 3))
+        X_hat = X.copy()
+        X_hat[0] = gen.normal(size=3)
+        pair = NeighborPair(X, X_hat)
+        sim = SimConfig(eta=0.2, steps=200, alpha=1.5, noise_scale=0.7, burn_in=100)
+        theta, theta_hat = _coupled_stationary_draws(pair, sim, 40, RngStream(12))
+        noise_stream = RngStream(12).fork(0)
+        shocks = [
+            0.7 * 0.2 ** (1.0 / 1.5)
+            * sample_isotropic_stable(3, StableParams(1.5, 1.0), noise_stream, size=40)
+            for _ in range(100)
+        ]
+        for data, got in ((X, theta), (X_hat, theta_hat)):
+            A = data.T @ data / 30
+            ref = np.zeros((40, 3))
+            for shock in shocks:
+                ref = ref - 0.2 * ref @ A + shock
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+    def test_overflowing_chains_raise(self):
+        # eta * lambda_max is about 2.5, so each step multiplies the state by
+        # about -1.5 and the chains overflow long before the burn-in ends.
+        pair = make_1d_pair()
+        sim = SimConfig(
+            eta=2.5, steps=3000, alpha=1.5, noise_scale=1.0, burn_in=2000, allow_unstable=True
+        )
+        with pytest.warns(UserWarning, match="diverges"), pytest.raises(AccuracyError):
             empirical_stability_gap(
                 pair, default_probe_points(pair, 1.0), 1.0, 1.5, sim, 200, RngStream(0)
             )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,16 @@ def test_isotropic_char_fn_rotational_symmetry():
     for u in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
         assert abs(empirical_char_fn(x, u) - math.exp(-1.0)) < 0.01
     assert empirical_char_fn(x, np.zeros(2)) == 1.0 + 0.0j
+
+
+def test_isotropic_draws_beyond_float_range_are_quiet():
+    # At alpha = 0.01 many exact draws exceed float range; they come out as
+    # inf or nan without a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = sample_isotropic_stable(3, StableParams(0.01, 1.0), RngStream(18), size=2000)
+    assert x.shape == (2000, 3)
+    assert not np.all(np.isfinite(x))
 
 
 def test_isotropic_matches_scalar_law_in_one_dimension():

@@ -183,8 +183,10 @@ def test_default_burn_in_is_ten_mixing_times():
     prob = QuadraticProblem(np.ones(10))  # lambda_min = 1
     cfg = SimConfig(eta=0.01, steps=100000, alpha=1.5)
     assert default_burn_in(prob, cfg) == 1000
+    assert default_burn_in(prob, SimConfig(eta=0.01, steps=100000, alpha=1.5, burn_in=2000)) == 2000
     short = SimConfig(eta=0.01, steps=500, alpha=1.5)
-    assert default_burn_in(prob, short) == 499
+    with pytest.warns(UserWarning, match="too short"):
+        assert default_burn_in(prob, short) == 499
 
 
 class TestStationarySample:
@@ -267,6 +269,6 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 
 def test_trajectory_final_property():
-    t = Trajectory(np.arange(6.0).reshape(3, 2), {}, {})
+    t = Trajectory(np.arange(6.0).reshape(3, 2), {})
     np.testing.assert_array_equal(t.final, [4.0, 5.0])
     assert len(t) == 3

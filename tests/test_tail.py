@@ -10,9 +10,7 @@ from stableou import (
     ShapeError,
     StableParams,
     TailEstimate,
-    ergodic_average,
     estimate_tail_index,
-    estimate_tail_index_grouped,
     median_center,
     sample_sas_scalar,
 )
@@ -108,39 +106,6 @@ def test_scale_invariance(c):
     base = estimate_tail_index(data, K1=20, K2=20).alpha_hat
     scaled = estimate_tail_index(c * data, K1=20, K2=20).alpha_hat
     assert scaled == pytest.approx(base, rel=1e-9)
-
-
-def test_grouped_estimate_averages_group_estimates():
-    gen = RngStream(75).generator
-    groups = [np.abs(gen.standard_normal(100)) + 0.1 for _ in range(4)]
-    singles = [estimate_tail_index(g, K1=10, K2=10).alpha_hat for g in groups]
-    combined = estimate_tail_index_grouped(groups, K1=10, K2=10)
-    assert combined == pytest.approx(np.mean(singles), rel=1e-12)
-
-
-def test_grouped_requires_groups():
-    with pytest.raises(ShapeError):
-        estimate_tail_index_grouped([], K1=10, K2=10)
-
-
-class TestErgodicAverage:
-    def test_constant_trajectory(self):
-        traj = np.tile([2.0, -1.0], (9, 1))
-        np.testing.assert_allclose(ergodic_average(traj, window=5), [2.0, -1.0])
-
-    def test_window_one_is_the_last_iterate(self):
-        traj = np.arange(10.0)
-        np.testing.assert_allclose(ergodic_average(traj, window=1), [9.0])
-
-    def test_linear_ramp_gives_the_window_midpoint(self):
-        traj = np.arange(11.0)  # 0..10
-        np.testing.assert_allclose(ergodic_average(traj, window=5), [8.0])
-
-    def test_window_validation(self):
-        with pytest.raises(ShapeError):
-            ergodic_average(np.arange(4.0), window=0)
-        with pytest.raises(ShapeError):
-            ergodic_average(np.arange(4.0), window=5)
 
 
 class TestMedianCenter:
