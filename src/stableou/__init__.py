@@ -77,7 +77,6 @@ from .stationary import (
     char_fn_diff_bound_dd,
     char_fn_diff_exact,
     rank2_eigenvalues,
-    stationary_1d_params,
 )
 from .tail import (
     TailEstimate,
@@ -136,7 +135,6 @@ __all__ = [
     "sample_sas_scalar",
     "sample_skewed_positive_stable",
     "sas_abs_moment",
-    "stationary_1d_params",
     "stationary_sample",
     "surrogate_risk",
     "threshold_alpha0",

@@ -46,9 +46,11 @@ class BoundInputs:
 
     sigma2 bounds the 1-d second moment (sum x_i^2 <= sigma2 * n), sigma
     bounds the d-dim single-row perturbation (spectral norm <= 2 sigma), and
-    sigma_min lower-bounds the smallest Gram singular value. delta1, delta2
-    are the probabilities with which those data assumptions fail; they are
-    echoed into reports, never estimated.
+    sigma_min lower-bounds the smallest Gram singular value. lambda_min and
+    lambda_max are the extreme eigenvalues of the noise preconditioner; the
+    default (1, 1) is isotropic noise. delta1, delta2 are the probabilities
+    with which the data assumptions fail; they are echoed into reports,
+    never estimated.
     """
 
     R: float
@@ -120,6 +122,22 @@ def _warn_if_near_pole(p: float, alpha: float) -> None:
         )
 
 
+def alpha_factor(alpha: float, p: float, sigma_sq: float) -> float:
+    """The alpha-dependent factor (1/alpha)(1/(alpha sigma_sq))^(p/alpha) Gamma(1-p/alpha).
+
+    upper_bound_1d, upper_bound_dd and lower_bound_1d all multiply this one
+    factor, which is why the 1-d lower-to-upper ratio is constant in alpha
+    (claim (iii)).
+    """
+    if not p < alpha:
+        raise ParameterError(f"need p < alpha, got p={p}, alpha={alpha}")
+    return (
+        (1.0 / alpha)
+        * (1.0 / (alpha * sigma_sq)) ** (p / alpha)
+        * gamma_fn(1.0 - p / alpha)
+    )
+
+
 def upper_bound_1d(b: BoundInputs) -> float | StabilityRegime:
     """Stability upper bound for the scalar loss |theta x|^p.
 
@@ -127,8 +145,16 @@ def upper_bound_1d(b: BoundInputs) -> float | StabilityRegime:
     dedicated squared-loss value at p = alpha = 2, and otherwise
 
         c(alpha) = (2 R^(p+2) / (pi sigma2 n)) Gamma(p+1) cos((p-1)pi/2)
-                   (1/alpha) (1/(alpha sigma2))^(p/alpha) Gamma(1 - p/alpha).
+                   alpha_factor(alpha, p, sigma2).
+
+    The scalar bound has no preconditioned form, so a noise spectrum other
+    than lambda_min = lambda_max = 1 is rejected.
     """
+    if (b.lambda_min, b.lambda_max) != (1.0, 1.0):
+        raise ParameterError(
+            f"the 1-d bound has no preconditioned form; got lambda_min={b.lambda_min}, "
+            f"lambda_max={b.lambda_max} (both must be 1)"
+        )
     regime = classify_regime(b.p, b.alpha)
     if regime is StabilityRegime.UNSTABLE:
         return regime
@@ -136,44 +162,30 @@ def upper_bound_1d(b: BoundInputs) -> float | StabilityRegime:
         return b.R**4 / (math.pi * b.sigma2**2 * b.n)
     _warn_if_near_pole(b.p, b.alpha)
     lead = 2.0 * b.R ** (b.p + 2.0) / (math.pi * b.sigma2 * b.n)
-    return (
-        lead
-        * gamma_fn(b.p + 1.0)
-        * _cos_factor(b.p)
-        * (1.0 / b.alpha)
-        * (1.0 / (b.alpha * b.sigma2)) ** (b.p / b.alpha)
-        * gamma_fn(1.0 - b.p / b.alpha)
-    )
+    return lead * gamma_fn(b.p + 1.0) * _cos_factor(b.p) * alpha_factor(b.alpha, b.p, b.sigma2)
 
 
-def upper_bound_dd(b: BoundInputs, general_sigma: bool = False) -> float | StabilityRegime:
+def upper_bound_dd(b: BoundInputs) -> float | StabilityRegime:
     """Stability upper bound for the d-dimensional loss |theta^T x|^p.
 
-    general_sigma switches to the preconditioned-noise form, which multiplies
-    the surrogate bound by lambda_min^p (lambda_max/lambda_min)^alpha and the
-    squared-loss bound by lambda_max^2; both reduce to the isotropic form at
+    The noise preconditioner's spectrum multiplies the surrogate bound by
+    lambda_min^p (lambda_max/lambda_min)^alpha and the squared-loss bound by
+    lambda_max^2; both factors are exactly 1 at the isotropic default
     lambda_min = lambda_max = 1.
     """
     regime = classify_regime(b.p, b.alpha)
     if regime is StabilityRegime.UNSTABLE:
         return regime
     if regime is StabilityRegime.GAUSSIAN_SQUARED:
-        value = 2.0 * b.R**2 * b.sigma / (math.pi * b.n * b.sigma_min)
-        if general_sigma:
-            value *= b.lambda_max**2
-        return value
+        return 2.0 * b.R**2 * b.sigma / (math.pi * b.n * b.sigma_min) * b.lambda_max**2
     _warn_if_near_pole(b.p, b.alpha)
-    value = (
-        (8.0 * b.R**b.p / math.pi)
-        * (b.sigma / (b.n * b.alpha))
-        * (1.0 / (b.alpha * b.sigma_min)) ** (b.p / b.alpha)
+    return (
+        (8.0 * b.R**b.p * b.sigma / (math.pi * b.n))
         * gamma_fn(b.p + 1.0)
         * _cos_factor(b.p)
-        * gamma_fn(1.0 - b.p / b.alpha)
+        * alpha_factor(b.alpha, b.p, b.sigma_min)
+        * (b.lambda_min**b.p * (b.lambda_max / b.lambda_min) ** b.alpha)
     )
-    if general_sigma:
-        value *= b.lambda_min**b.p * (b.lambda_max / b.lambda_min) ** b.alpha
-    return value
 
 
 def variance_threshold(
@@ -239,8 +251,9 @@ def lower_bound_1d(b: BoundInputs, delta_gap: float, a1_hint: float | None = Non
 
     delta_gap is the effective-dataset gap |mean(x y) - mean(x~ y~)| * n and
     a1_hint the common squared data norm of the construction (defaults to
-    sigma2 * n). The alpha-dependent factors match the upper bound's, so the
-    ratio of the two is constant in alpha with all else fixed.
+    sigma2 * n). The bound is alpha_factor at sigma_sq = a1_hint / n times an
+    alpha-free lead, as the upper bound is, so the ratio of the two is
+    constant in alpha with all else fixed.
     """
     if delta_gap < 0:
         raise ParameterError(f"delta_gap must be nonnegative, got {delta_gap}")
@@ -258,9 +271,8 @@ def lower_bound_1d(b: BoundInputs, delta_gap: float, a1_hint: float | None = Non
         (2.0 * b.R**b.p / math.pi)
         * gamma_fn(b.p + 1.0)
         * _cos_factor(b.p)
-        * (delta_gap / (b.alpha * a1_hint))
-        * (b.n / (b.alpha * a1_hint)) ** (b.p / b.alpha)
-        * gamma_fn(1.0 - b.p / b.alpha)
+        * (delta_gap / a1_hint)
+        * alpha_factor(b.alpha, b.p, a1_hint / b.n)
     )
 
 
@@ -279,14 +291,3 @@ def monotonicity_scan(bound_fn, alpha0: float, grid_size: int) -> tuple[bool, fl
         if values[i + 1] < values[i] - tol:
             return False, float(grid[i])
     return True, None
-
-
-def alpha_factor(alpha: float, p: float, sigma_sq: float) -> float:
-    """The alpha-dependent factor (1/alpha)(1/(alpha sigma_sq))^(p/alpha) Gamma(1-p/alpha)."""
-    if not p < alpha:
-        raise ParameterError(f"need p < alpha, got p={p}, alpha={alpha}")
-    return (
-        (1.0 / alpha)
-        * (1.0 / (alpha * sigma_sq)) ** (p / alpha)
-        * gamma_fn(1.0 - p / alpha)
-    )

@@ -75,8 +75,7 @@ _DEFAULTS = {
     "sample": {"kind": "sas", "alpha": REQUIRED, "sigma": 1.0, "d": 1, "count": 1000, "seed": 0},
     "simulate": {"alpha": REQUIRED, "eta": 0.1, "steps": 3000, "noise_scale": 0.1, "seed": 0,
                  "n": None, "d": 1, "a": 1.0, "data_csv": None, "allow_unstable": False},
-    "bounds": {**_dataclass_defaults(BoundInputs), "R": 1.0, "n": 1000, "dimension": "1d",
-               "general_sigma": False},
+    "bounds": {**_dataclass_defaults(BoundInputs), "R": 1.0, "n": 1000, "dimension": "1d"},
     "threshold": {"alpha0": None, "p": REQUIRED, "sigma_level": None, "lambda_min": 1.0,
                   "lambda_max": 1.0},
     "sweep": {**_dataclass_defaults(SweepConfig), "svg": True},
@@ -206,15 +205,10 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> int:
     dimension = cfg["dimension"]
     if dimension not in ("1d", "dd"):
         raise ParameterError(f"dimension must be '1d' or 'dd', got {dimension!r}")
-    general_sigma = bool(cfg["general_sigma"])
     inputs = _from_config(BoundInputs, cfg)
-    if dimension == "1d":
-        result = upper_bound_1d(inputs)
-    else:
-        result = upper_bound_dd(inputs, general_sigma=general_sigma)
+    result = upper_bound_1d(inputs) if dimension == "1d" else upper_bound_dd(inputs)
     report = {
-        "inputs": {**dataclasses.asdict(inputs), "dimension": dimension,
-                   "general_sigma": general_sigma},
+        "inputs": {**dataclasses.asdict(inputs), "dimension": dimension},
         "regime": classify_regime(inputs.p, inputs.alpha).value,
         "value": None if not isinstance(result, float) else result,
         "caveat": (
@@ -404,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta1", type=float)
     sp.add_argument("--delta2", type=float)
     sp.add_argument("--dimension", choices=["1d", "dd"])
-    sp.add_argument("--general-sigma", action="store_const", const=True, dest="general_sigma")
 
     sp = add("threshold", "variance threshold and its inverse")
     sp.add_argument("--alpha0", type=float)

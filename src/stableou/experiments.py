@@ -207,7 +207,12 @@ def replay_record(cfg: SweepConfig, record: RunRecord) -> RunRecord:
 
 @dataclass(frozen=True, eq=False)
 class StabilityGapEstimate:
-    """Max-over-probes Monte-Carlo gap with its standard error at the arg-max probe."""
+    """Max-over-probes Monte-Carlo gap with its standard error at the arg-max probe.
+
+    stderr is the sample standard error of the per-pair loss differences.
+    When alpha < 2 <= 2p those differences have infinite variance, so it
+    understates the gap's error and is no valid yardstick there.
+    """
 
     gap: float
     stderr: float
@@ -235,7 +240,7 @@ def _coupled_stationary_draws(
     # Both chains are driven by the SAME noise realizations (common random
     # numbers); the O(1/n) gap between the two stationary means would
     # otherwise drown in Monte-Carlo error at any affordable sample size.
-    problems = (QuadraticProblem(pair.X), QuadraticProblem(pair.X_hat))
+    problems = (pair.problem, pair.problem_hat)
     check_step_size(max(problems, key=lambda prob: prob.lambda_max), sim)
     slowest = min(problems, key=lambda prob: prob.lambda_min)
     if slowest.lambda_min <= 0.0:

@@ -123,7 +123,6 @@ class Trajectory:
     """A simulated path: iterates[k] is theta_k, row 0 the initial point."""
 
     iterates: np.ndarray
-    seed_provenance: dict
     diverged: bool = False
 
     def __len__(self) -> int:
@@ -229,12 +228,7 @@ def euler_maruyama_run(
     for last, theta in enumerate(_recursion(theta0, problem.A, problem.b, config.eta, noise), 1):
         iterates[last] = theta
 
-    provenance = stream.describe() if stream is not None else {"seed": None, "path": []}
-    return Trajectory(
-        iterates=iterates[: last + 1],
-        seed_provenance=provenance,
-        diverged=last < steps,
-    )
+    return Trajectory(iterates=iterates[: last + 1], diverged=last < steps)
 
 
 def stationary_sample(

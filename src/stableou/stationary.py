@@ -7,18 +7,19 @@ positive definite) and noise matrix S is
 
 evaluated here by diagonalizing A once and applying adaptive
 Gauss-Legendre quadrature on a truncated horizon. The module also carries
-the closed-form neighbor-dataset bounds on |psi - psi_hat| and the exact
-1-d stationary parameters.
+the closed-form neighbor-dataset bounds on |psi - psi_hat|.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DegenerateDataError, ParameterError, ShapeError
+from .simulate import QuadraticProblem
 
 # Quadrature settings: the node count doubles from _INITIAL_NODES until two
 # successive estimates agree to _REL_TOL (or _ABS_TOL), or fails past
@@ -29,13 +30,7 @@ _TAIL_TOL = 1e-10
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n] = leggauss(n)
-    return _LEGGAUSS_CACHE[n]
+_gauss_nodes = functools.cache(leggauss)
 
 
 class StationaryCharFn:
@@ -128,28 +123,6 @@ class StationaryCharFn:
         return math.exp(-self.exponent(u))
 
 
-def stationary_1d_params(X, y, alpha: float) -> tuple[float, float]:
-    """Location and scale of the exact 1-d stationary law.
-
-    With s = mean(x^2) and delta = mean(x * y) the stationary distribution
-    is location delta/s plus a symmetric alpha-stable of scale
-    (alpha * s)^(-1/alpha); the explicit form requires alpha > 1.
-    """
-    x = np.asarray(X, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if x.shape != yv.shape:
-        raise ShapeError(f"X and y have mismatched lengths {x.shape[0]} and {yv.shape[0]}")
-    if not (1.0 < alpha <= 2.0):
-        raise ParameterError(
-            f"the explicit 1-d stationary law holds for alpha > 1, got {alpha}"
-        )
-    s = float(np.mean(x * x))
-    if s == 0.0:
-        raise DegenerateDataError("all data points are zero; the stationary law degenerates")
-    delta = float(np.mean(x * yv))
-    return delta / s, (alpha * s) ** (-1.0 / alpha)
-
-
 def rank2_eigenvalues(x, x_tilde) -> tuple[float, float]:
     """Eigenvalues of x x^T - xt xt^T, ordered sigma1 >= sigma2.
 
@@ -190,19 +163,17 @@ def rank2_eigenvalues(x, x_tilde) -> tuple[float, float]:
 class NeighborPair:
     """Two datasets differing in at most one row, plus the derived bound inputs.
 
-    sigma1 >= 0 >= sigma2 are the eigenvalues of x_i x_i^T - xt_i xt_i^T for
-    the differing row i, and sigma_min is the smaller of the two Gram
+    problem and problem_hat are the two datasets' QuadraticProblems, built
+    once. sigma1 >= 0 >= sigma2 are the eigenvalues of x_i x_i^T - xt_i xt_i^T
+    for the differing row i, and sigma_min is the smaller of the two Gram
     matrices' smallest eigenvalues.
     """
 
     def __init__(self, X, X_hat):
-        X = np.asarray(X, dtype=float)
-        X_hat = np.asarray(X_hat, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        if X_hat.ndim == 1:
-            X_hat = X_hat[:, None]
-        if X.ndim != 2 or X.shape != X_hat.shape:
+        self.problem = QuadraticProblem(X)
+        self.problem_hat = QuadraticProblem(X_hat)
+        X, X_hat = self.problem.X, self.problem_hat.X
+        if X.shape != X_hat.shape:
             raise ShapeError(
                 f"X and X_hat must be matrices of equal shape, got {X.shape} and {X_hat.shape}"
             )
@@ -218,9 +189,7 @@ class NeighborPair:
         self.x_row = X[self.index]
         self.x_tilde_row = X_hat[self.index]
         self.sigma1, self.sigma2 = rank2_eigenvalues(self.x_row, self.x_tilde_row)
-        lam = np.linalg.eigvalsh(X.T @ X / self.n)
-        lam_hat = np.linalg.eigvalsh(X_hat.T @ X_hat / self.n)
-        self.sigma_min = float(min(lam[0], lam_hat[0]))
+        self.sigma_min = min(self.problem.lambda_min, self.problem_hat.lambda_min)
 
 
 def char_fn_diff_bound_1d(pair: NeighborPair, alpha: float, u: float) -> float:
@@ -246,23 +215,20 @@ def char_fn_diff_bound_1d(pair: NeighborPair, alpha: float, u: float) -> float:
 
 
 def char_fn_diff_bound_dd(
-    pair: NeighborPair,
-    alpha: float,
-    u,
-    general_sigma: bool = False,
-    lambda_min: float = 1.0,
-    lambda_max: float = 1.0,
+    pair: NeighborPair, alpha: float, u, lambda_min: float = 1.0, lambda_max: float = 1.0
 ) -> float:
     """Closed-form bound on |psi(u) - psi_hat(u)| in d dimensions.
 
     Uses the (|sigma1| + |sigma2|) convention for the rank-2 perturbation
     term, since the second eigenvalue is nonpositive whenever the rows
-    differ. With general_sigma the noise-matrix spectrum enters as a
-    lambda_max^alpha prefactor and a lambda_min^alpha shrink of the
-    exponent; at lambda_min = lambda_max = 1 both forms coincide.
+    differ. The noise-matrix spectrum enters as a lambda_max^alpha
+    prefactor and a lambda_min^alpha shrink of the exponent; both are
+    exactly 1 at the isotropic default lambda_min = lambda_max = 1.
     """
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+    if not (0.0 < lambda_min <= lambda_max):
+        raise ParameterError(f"need 0 < lambda_min <= lambda_max, got {lambda_min}, {lambda_max}")
     if pair.sigma_min <= 0.0:
         raise DegenerateDataError(
             f"smallest Gram eigenvalue is {pair.sigma_min:.4g}; the bound needs it positive"
@@ -270,13 +236,6 @@ def char_fn_diff_bound_dd(
     uvec = np.atleast_1d(np.asarray(u, dtype=float))
     if uvec.shape != (pair.d,):
         raise ShapeError(f"u has shape {uvec.shape}, expected ({pair.d},)")
-    if general_sigma:
-        if not (0.0 < lambda_min <= lambda_max):
-            raise ParameterError(
-                f"need 0 < lambda_min <= lambda_max, got {lambda_min}, {lambda_max}"
-            )
-    else:
-        lambda_min = lambda_max = 1.0
     ua = float(np.linalg.norm(uvec)) ** alpha
     perturbation = abs(pair.sigma1) + abs(pair.sigma2)
     prefactor = (lambda_max**alpha) * 2.0 * perturbation * ua / (pair.n * alpha * pair.sigma_min)
@@ -285,6 +244,6 @@ def char_fn_diff_bound_dd(
 
 def char_fn_diff_exact(pair: NeighborPair, alpha: float, u, Sigma=None) -> float:
     """|psi(u) - psi_hat(u)| by quadrature on both stationary laws."""
-    sc = StationaryCharFn(pair.X.T @ pair.X / pair.n, alpha, Sigma=Sigma)
-    sc_hat = StationaryCharFn(pair.X_hat.T @ pair.X_hat / pair.n, alpha, Sigma=Sigma)
+    sc = StationaryCharFn(pair.problem.A, alpha, Sigma=Sigma)
+    sc_hat = StationaryCharFn(pair.problem_hat.A, alpha, Sigma=Sigma)
     return abs(sc.evaluate(u) - sc_hat.evaluate(u))

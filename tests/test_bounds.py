@@ -119,6 +119,13 @@ class TestUpperBound1d:
         with pytest.warns(RuntimeWarning):
             upper_bound_1d(b)
 
+    @pytest.mark.parametrize("spectrum", [(0.5, 2.0), (2.0, 2.0), (1.0, 3.0)])
+    def test_rejects_a_non_unit_spectrum(self, spectrum):
+        lam_min, lam_max = spectrum
+        b = BoundInputs(R=1.0, n=1000, p=1.0, alpha=1.5, lambda_min=lam_min, lambda_max=lam_max)
+        with pytest.raises(ParameterError, match="no preconditioned form"):
+            upper_bound_1d(b)
+
 
 class TestUpperBoundDd:
     def test_frozen_oracle_values(self):
@@ -136,8 +143,11 @@ class TestUpperBoundDd:
         assert upper_bound_dd(b) is StabilityRegime.UNSTABLE
 
     def test_general_noise_reduces_at_unit_spectrum(self):
-        b = BoundInputs(R=1.0, n=300, p=1.1, alpha=1.8)
-        assert upper_bound_dd(b, general_sigma=True) == upper_bound_dd(b)
+        # The spectrum factors are exactly 1 at (1, 1): the isotropic oracles hold.
+        b = BoundInputs(R=1.0, n=1000, p=1.0, alpha=1.5, lambda_min=1.0, lambda_max=1.0)
+        assert upper_bound_dd(b) == pytest.approx(3.470702845479248e-3, rel=1e-12)
+        b2 = BoundInputs(R=1.0, n=1000, p=2.0, alpha=2.0, lambda_min=1.0, lambda_max=1.0)
+        assert upper_bound_dd(b2) == pytest.approx(2.0 / (math.pi * 1000), rel=1e-12)
 
     def test_general_noise_spectrum_factors(self):
         b = BoundInputs(
@@ -145,7 +155,9 @@ class TestUpperBoundDd:
         )
         plain = upper_bound_dd(BoundInputs(R=1.0, n=300, p=1.1, alpha=1.8))
         expected = plain * 0.5**1.1 * (2.0 / 0.5) ** 1.8
-        assert upper_bound_dd(b, general_sigma=True) == pytest.approx(expected, rel=1e-12)
+        assert upper_bound_dd(b) == pytest.approx(expected, rel=1e-12)
+        squared = BoundInputs(R=1.0, n=1000, p=2.0, alpha=2.0, lambda_min=0.5, lambda_max=2.0)
+        assert upper_bound_dd(squared) == pytest.approx(4.0 * 2.0 / (math.pi * 1000), rel=1e-12)
 
     def test_decays_like_one_over_n(self):
         lo = upper_bound_dd(BoundInputs(R=1.0, n=250, p=1.0, alpha=1.7))

@@ -157,19 +157,33 @@ class TestBounds:
         assert report["regime"] == "Unstable"
         assert report["value"] is None
 
-    def test_dd_with_general_sigma(self, tmp_path):
+    def test_dd_spectrum_selects_the_preconditioned_form(self, tmp_path):
+        # The isotropic oracle 3.470702845479248e-3 times
+        # lambda_min^p (lambda_max/lambda_min)^alpha = 0.5 * 4^1.5 = 4.
         out = tmp_path / "out"
         code = run_cli([
-            "bounds", "--dimension", "dd", "--general-sigma", "--p", "1.0",
-            "--alpha", "1.5", "--sigma", "1.0", "--sigma-min", "1.0",
-            "--lambda-min", "1.0", "--lambda-max", "1.0", "--n", "1000",
-            "--out", str(out),
+            "bounds", "--dimension", "dd", "--p", "1.0", "--alpha", "1.5",
+            "--lambda-min", "0.5", "--lambda-max", "2", "--out", str(out),
         ])
         assert code == 0
         report = json.loads((out / "bounds.json").read_text())
         assert report["inputs"]["dimension"] == "dd"
-        assert report["inputs"]["general_sigma"] is True
-        assert report["value"] == pytest.approx(3.470702845479248e-3, rel=1e-12)
+        assert report["inputs"]["lambda_min"] == 0.5
+        assert report["value"] == pytest.approx(1.3882811381916991e-2, rel=1e-12)
+
+    def test_1d_rejects_a_non_unit_spectrum(self, tmp_path, capsys):
+        code = run_cli(["bounds", "--dimension", "1d", "--p", "1.0", "--alpha", "1.5",
+                        "--lambda-min", "0.5", "--lambda-max", "2", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "no preconditioned form" in err["message"]
+
+    def test_config_with_the_removed_switch_is_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"dimension": "dd", "general_sigma": True})
+        assert run_cli(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == "unknown config keys for 'bounds': general_sigma"
 
     def test_bad_delta_fails(self, tmp_path, capsys):
         code = run_cli(["bounds", "--p", "1.0", "--alpha", "2.0", "--delta1", "1.5",
@@ -386,7 +400,7 @@ ACCEPTED_KEYS = {
     "simulate": {"alpha", "eta", "steps", "noise_scale", "seed", "n", "d", "a", "data_csv",
                  "allow_unstable"},
     "bounds": {"R", "n", "p", "alpha", "sigma2", "sigma", "sigma_min", "lambda_min",
-               "lambda_max", "delta1", "delta2", "dimension", "general_sigma"},
+               "lambda_max", "delta1", "delta2", "dimension"},
     "threshold": {"alpha0", "p", "sigma_level", "lambda_min", "lambda_max"},
     "sweep": {"alpha_grid", "a_grid", "d_grid", "n", "population_size", "replications", "p",
               "eta", "steps", "noise_scale", "master_seed", "svg"},
@@ -408,8 +422,8 @@ def _replay_case(command, tmp_path):
                           "--count", "50", "--seed", "4"]),
         "simulate": (None, ["--alpha", "1.5", "--eta", "0.05", "--steps", "100", "--n", "30",
                             "--d", "2", "--seed", "5"]),
-        "bounds": (None, ["--dimension", "dd", "--general-sigma", "--p", "1.0",
-                          "--alpha", "1.5", "--n", "500"]),
+        "bounds": (None, ["--dimension", "dd", "--p", "1.0", "--alpha", "1.5", "--n", "500",
+                          "--lambda-min", "0.5", "--lambda-max", "2"]),
         "threshold": (None, ["--p", "1.0", "--alpha0", "1.5", "--sigma-level", "300"]),
         "sweep": (SWEEP_CFG, ["--replications", "1"]),
         "verify-charfn": (None, ["--alpha", "1.5", "--d", "2", "--seed", "1"]),

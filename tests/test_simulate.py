@@ -159,7 +159,6 @@ def test_trajectory_is_deterministic_in_the_seed():
     a = euler_maruyama_run(prob, cfg, None, RngStream(77))
     b = euler_maruyama_run(prob, cfg, None, RngStream(77))
     np.testing.assert_array_equal(a.iterates, b.iterates)
-    assert a.seed_provenance == {"seed": 77, "path": []}
 
 
 def test_injected_noise_scaling_at_alpha_two():
@@ -206,7 +205,7 @@ class TestStationarySample:
     def test_insufficient_steps_rejected(self):
         prob = make_problem()
         cfg = SimConfig(eta=0.05, steps=50, alpha=1.5, burn_in=10)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError), pytest.warns(UserWarning, match="burn-in"):
             stationary_sample(prob, cfg, RngStream(0), 100, thinning=10)
 
     def test_short_burn_in_warns(self):
@@ -269,6 +268,6 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 
 def test_trajectory_final_property():
-    t = Trajectory(np.arange(6.0).reshape(3, 2), {})
+    t = Trajectory(np.arange(6.0).reshape(3, 2))
     np.testing.assert_array_equal(t.final, [4.0, 5.0])
     assert len(t) == 3

@@ -18,7 +18,6 @@ from stableou import (
     char_fn_diff_bound_dd,
     char_fn_diff_exact,
     rank2_eigenvalues,
-    stationary_1d_params,
 )
 from stableou.rng import RngStream
 
@@ -165,33 +164,6 @@ def test_non_convergence_raises_with_estimate(monkeypatch):
     assert info.value.estimate == pytest.approx(target, rel=1e-3)
 
 
-class TestOneDimensionalParams:
-    def test_zero_targets(self):
-        loc, scale = stationary_1d_params(np.ones(8), np.zeros(8), 1.5)
-        assert loc == 0.0
-        assert scale == pytest.approx(1.5 ** (-1.0 / 1.5), rel=1e-12)
-
-    def test_gaussian_scale_matches_unit_variance(self):
-        _, scale = stationary_1d_params(np.ones(8), np.zeros(8), 2.0)
-        assert scale == pytest.approx(2.0**-0.5, rel=1e-12)
-        # SaS(sigma) at alpha=2 has variance 2 sigma^2 = 1 here.
-        assert 2.0 * scale**2 == pytest.approx(1.0, rel=1e-12)
-
-    def test_location_is_ratio_of_moments(self):
-        loc, _ = stationary_1d_params(np.ones(5), 3.0 * np.ones(5), 1.5)
-        assert loc == pytest.approx(3.0, rel=1e-12)
-        loc2, _ = stationary_1d_params(np.array([1.0, 2.0]), np.array([2.0, 2.0]), 1.8)
-        assert loc2 == pytest.approx((2.0 + 4.0) / (1.0 + 4.0), rel=1e-12)
-
-    def test_degenerate_and_domain_errors(self):
-        with pytest.raises(DegenerateDataError):
-            stationary_1d_params(np.zeros(4), np.zeros(4), 1.5)
-        with pytest.raises(ParameterError):
-            stationary_1d_params(np.ones(4), np.zeros(4), 1.0)
-        with pytest.raises(ParameterError):
-            stationary_1d_params(np.ones(4), np.zeros(4), 0.8)
-
-
 class TestRank2Eigenvalues:
     def test_identical_rows(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -262,6 +234,13 @@ class TestNeighborPair:
             np.linalg.eigvalsh(X_hat.T @ X_hat / 12.0)[0],
         )
         assert pair.sigma_min == pytest.approx(gram_min, rel=1e-12)
+
+    def test_sigma_min_reads_the_two_problems(self):
+        gen = RngStream(67).generator
+        pair = make_pair_dd(gen)
+        np.testing.assert_array_equal(pair.problem.X, pair.X)
+        np.testing.assert_array_equal(pair.problem_hat.X, pair.X_hat)
+        assert pair.sigma_min == min(pair.problem.lambda_min, pair.problem_hat.lambda_min)
 
     def test_one_dimensional_promotion(self):
         X = np.array([1.0, 2.0, 3.0])
@@ -364,19 +343,17 @@ class TestDiffBoundDd:
         pair = make_pair_dd(gen)
         u = gen.standard_normal(3)
         plain = char_fn_diff_bound_dd(pair, 1.4, u)
-        general = char_fn_diff_bound_dd(
-            pair, 1.4, u, general_sigma=True, lambda_min=1.0, lambda_max=1.0
-        )
-        assert general == plain
+        unit = char_fn_diff_bound_dd(pair, 1.4, u, lambda_min=1.0, lambda_max=1.0)
+        assert unit == plain
+        with pytest.raises(ParameterError):
+            char_fn_diff_bound_dd(pair, 1.4, u, lambda_min=1.5, lambda_max=0.9)
 
     def test_general_noise_form_grows_with_spectral_radius(self):
         gen = RngStream(64).generator
         pair = make_pair_dd(gen)
         u = 0.5 * gen.standard_normal(3)
         plain = char_fn_diff_bound_dd(pair, 1.4, u)
-        wide = char_fn_diff_bound_dd(
-            pair, 1.4, u, general_sigma=True, lambda_min=0.9, lambda_max=1.5
-        )
+        wide = char_fn_diff_bound_dd(pair, 1.4, u, lambda_min=0.9, lambda_max=1.5)
         assert wide > plain
 
     @pytest.mark.parametrize("alpha", [1.3, 1.8, 2.0])
