@@ -67,7 +67,6 @@ from .simulate import (
     default_burn_in,
     euler_maruyama_run,
     stationary_sample,
-    trajectory_to_csv,
 )
 from .special import digamma, gamma_fn
 from .stationary import (
@@ -138,7 +137,6 @@ __all__ = [
     "stationary_sample",
     "surrogate_risk",
     "threshold_alpha0",
-    "trajectory_to_csv",
     "upper_bound_1d",
     "upper_bound_dd",
     "variance_threshold",

@@ -35,6 +35,7 @@ from .bounds import (
 from .errors import AccuracyError, ParameterError, ShapeError, StableOUError
 from .experiments import (
     SweepConfig,
+    _write_csv,
     aggregate_median_iqr,
     generate_population,
     run_synthetic_sweep,
@@ -56,7 +57,6 @@ from .simulate import (
     default_burn_in,
     euler_maruyama_run,
     stationary_sample,
-    trajectory_to_csv,
 )
 from .stationary import StationaryCharFn
 from .tail import estimate_tail_index, median_center
@@ -128,14 +128,6 @@ def _finish(out_dir: Path, command: str, cfg: dict, outputs: list[str], report=N
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_matrix_csv(arr: np.ndarray, path: Path, header: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in np.atleast_2d(arr):
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def _read_matrix_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -168,7 +160,7 @@ def _cmd_sample(cfg: dict, out_dir: Path) -> int:
         data = sample_isotropic_stable(int(cfg["d"]), params, stream, size=count)
     else:
         raise ParameterError(f"kind must be 'sas', 'positive' or 'isotropic', got {kind!r}")
-    _write_matrix_csv(data, out_dir / "samples.csv", [f"x_{j + 1}" for j in range(data.shape[1])])
+    _write_csv(out_dir / "samples.csv", [f"x_{j + 1}" for j in range(data.shape[1])], data)
     _finish(out_dir, "sample", cfg, ["samples.csv"])
     print(f"wrote {count} {kind} samples (alpha={alpha}) to {out_dir / 'samples.csv'}")
     return 0
@@ -191,7 +183,9 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
         allow_unstable=bool(cfg["allow_unstable"]),
     )
     traj = euler_maruyama_run(problem, sim, stream=stream.fork(1))
-    trajectory_to_csv(traj, out_dir / "trajectory.csv")
+    header = ["step"] + [f"theta_{j + 1}" for j in range(problem.d)]
+    rows = ([k, *theta] for k, theta in enumerate(traj.iterates))
+    _write_csv(out_dir / "trajectory.csv", header, rows)
     _finish(out_dir, "simulate", cfg, ["trajectory.csv"])
     status = "diverged" if traj.diverged else "completed"
     print(
@@ -330,7 +324,7 @@ def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
         "tolerance": tolerance,
         "passed": passed,
     }
-    _write_matrix_csv(np.array(rows, dtype=float), out_dir / "verify.csv", header)
+    _write_csv(out_dir / "verify.csv", header, rows)
     _finish(out_dir, "verify-charfn", cfg, ["verify.json", "verify.csv"], report)
     if not passed:
         raise AccuracyError(
@@ -452,3 +446,7 @@ def _emit_error(exc: Exception) -> None:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

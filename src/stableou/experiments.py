@@ -37,7 +37,6 @@ from .simulate import (
 )
 from .stationary import NeighborPair
 
-RUN_RECORD_COLUMNS = ("replication", "alpha", "a", "d", "n", "p", "seed", "gen_error", "diverged")
 AGGREGATE_COLUMNS = ("alpha", "a", "d", "median", "q25", "q75", "n_diverged")
 
 
@@ -98,7 +97,11 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One replication's outcome; re-running with the stored seed reproduces it."""
+    """One replication's outcome; re-running with the stored seed reproduces it.
+
+    Each field is coerced to its annotated type, so a record built from
+    numpy scalars or from the strings of a CSV row holds plain Python values.
+    """
 
     replication: int
     alpha: float
@@ -109,6 +112,15 @@ class RunRecord:
     seed: int
     gen_error: float
     diverged: bool
+
+    def __post_init__(self):
+        # The annotations are strings here; bool("0") is True, so a bool is parsed through int.
+        parse = {"int": int, "float": float, "bool": lambda v: bool(int(v))}
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, parse[f.type](getattr(self, f.name)))
+
+
+RUN_RECORD_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRecord))
 
 
 def _derive_seed(master_seed: int, key: tuple) -> int:
@@ -164,17 +176,7 @@ def _run_replication(
     else:
         gen = generalization_error(traj.final, train, population, cfg.p)
         diverged = not math.isfinite(gen)
-    return RunRecord(
-        replication=replication,
-        alpha=float(alpha),
-        a=float(a),
-        d=int(d),
-        n=int(cfg.n),
-        p=float(cfg.p),
-        seed=int(seed),
-        gen_error=float(gen),
-        diverged=bool(diverged),
-    )
+    return RunRecord(replication, alpha, a, d, cfg.n, cfg.p, seed, gen, diverged)
 
 
 def run_synthetic_sweep(cfg: SweepConfig) -> list[RunRecord]:
@@ -249,14 +251,11 @@ def _coupled_stationary_draws(
         )
     burn = default_burn_in(slowest, sim)
     d = pair.d
-    sig = sim.effective_noise(d)
     scale = sim.eta ** (1.0 / sim.alpha)
     params = StableParams(alpha=sim.alpha, sigma=1.0)
     noise_stream = stream.fork(0)
-    shocks = (
-        (scale * (sample_isotropic_stable(d, params, noise_stream, size=n_mc) @ sig.T)).T
-        for _ in range(burn)
-    )
+    draws = (sample_isotropic_stable(d, params, noise_stream, size=n_mc) for _ in range(burn))
+    shocks = ((scale * (sim.noise_scale * e)).T for e in draws)
     # Chain j of dataset i is column j of state[i].
     state = np.zeros((2, d, n_mc))
     A = np.stack([prob.A for prob in problems])
@@ -370,66 +369,33 @@ def aggregate_median_iqr(records, group_keys=("alpha", "a", "d")) -> list[dict]:
     return table
 
 
-def write_run_records(records, path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV: int, bool and np.integer values as integers, all others as repr(float)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RUN_RECORD_COLUMNS)
-        for r in records:
+        writer.writerow(header)
+        for row in rows:
+            # np.float64 subclasses float but reprs as "np.float64(...)" under numpy 2.
             writer.writerow(
-                [
-                    r.replication,
-                    repr(float(r.alpha)),
-                    repr(float(r.a)),
-                    r.d,
-                    r.n,
-                    repr(float(r.p)),
-                    r.seed,
-                    repr(float(r.gen_error)),
-                    int(r.diverged),
-                ]
+                [int(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
             )
 
 
+def write_run_records(records, path) -> None:
+    _write_csv(path, RUN_RECORD_COLUMNS, map(dataclasses.astuple, records))
+
+
 def read_run_records(path) -> list[RunRecord]:
-    records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != RUN_RECORD_COLUMNS:
             raise ShapeError(f"unexpected record CSV header: {header}")
-        for row in reader:
-            records.append(
-                RunRecord(
-                    replication=int(row[0]),
-                    alpha=float(row[1]),
-                    a=float(row[2]),
-                    d=int(row[3]),
-                    n=int(row[4]),
-                    p=float(row[5]),
-                    seed=int(row[6]),
-                    gen_error=float(row[7]),
-                    diverged=bool(int(row[8])),
-                )
-            )
-    return records
+        return [RunRecord(*row) for row in reader]
 
 
 def write_aggregate(table, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        for row in table:
-            writer.writerow(
-                [
-                    repr(float(row["alpha"])),
-                    repr(float(row["a"])),
-                    int(row["d"]),
-                    repr(float(row["median"])),
-                    repr(float(row["q25"])),
-                    repr(float(row["q75"])),
-                    int(row["n_diverged"]),
-                ]
-            )
+    _write_csv(path, AGGREGATE_COLUMNS, ([row[c] for c in AGGREGATE_COLUMNS] for row in table))
 
 
 def write_sweep_svg(table, path, a: float, d: int) -> None:

@@ -4,17 +4,16 @@ The iteration for a least-squares problem with data (X, y) is
 
     theta_{k+1} = theta_k - eta * (A theta_k - b) + eta^(1/alpha) * S E_{k+1}
 
-with A = (1/n) X^T X, b = (1/n) X^T y, S = noise_scale * noise_matrix and
+with A = (1/n) X^T X, b = (1/n) X^T y, S = noise_scale * I and
 E_k i.i.d. rotationally symmetric alpha-stable with unit scale. With
 noise_scale = 0 this is plain gradient descent on the quadratic risk.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -79,10 +78,8 @@ class SimConfig:
     steps: int
     alpha: float
     burn_in: Optional[int] = None
-    noise_matrix: Optional[np.ndarray] = field(default=None, compare=False)
     noise_scale: float = 1.0
     allow_unstable: bool = False
-    _noise_key: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not (self.eta > 0.0):
@@ -99,23 +96,6 @@ class SimConfig:
             object.__setattr__(self, "burn_in", b)
         if not (self.noise_scale >= 0.0):
             raise ParameterError(f"noise_scale must be nonnegative, got {self.noise_scale}")
-        if self.noise_matrix is not None:
-            m = np.array(self.noise_matrix, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ShapeError(f"noise_matrix must be square, got shape {m.shape}")
-            m.flags.writeable = False
-            object.__setattr__(self, "noise_matrix", m)
-            object.__setattr__(self, "_noise_key", tuple(map(tuple, m.tolist())))
-
-    def effective_noise(self, d: int) -> np.ndarray:
-        """noise_scale * noise_matrix with the identity default, as a (d, d) array."""
-        if self.noise_matrix is None:
-            return self.noise_scale * np.eye(d)
-        if self.noise_matrix.shape[0] != d:
-            raise ShapeError(
-                f"noise_matrix is {self.noise_matrix.shape} but the problem dimension is {d}"
-            )
-        return self.noise_scale * self.noise_matrix
 
 
 @dataclass
@@ -208,17 +188,14 @@ def euler_maruyama_run(
         raise ShapeError(f"theta0 has length {theta0.shape[0]} but the problem dimension is {d}")
     check_step_size(problem, config)
 
-    sigma_eff = config.effective_noise(d)
     steps = config.steps
     if config.noise_scale > 0.0 and stream is None:
         raise ParameterError("a stream is required when noise_scale > 0")
 
     if config.noise_scale > 0.0:
         e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=steps)
-        # An infinite draw times a zero of sigma_eff is nan; the recursion
-        # reports either as divergence.
-        with np.errstate(invalid="ignore", over="ignore"):
-            noise = (config.eta ** (1.0 / config.alpha)) * (e @ sigma_eff.T)
+        with np.errstate(over="ignore"):
+            noise = (config.eta ** (1.0 / config.alpha)) * (config.noise_scale * e)
     else:
         noise = np.zeros((steps, d))
 
@@ -269,12 +246,3 @@ def stationary_sample(
     idx = burn_in + thinning * np.arange(1, n_samples + 1)
     return traj.iterates[idx]
 
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV with columns step, theta_1, ..., theta_d."""
-    d = traj.iterates.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"theta_{j + 1}" for j in range(d)])
-        for k, row in enumerate(traj.iterates):
-            writer.writerow([k] + [repr(float(v)) for v in row])

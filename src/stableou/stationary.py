@@ -242,8 +242,8 @@ def char_fn_diff_bound_dd(
     return prefactor * math.exp(-(lambda_min**alpha) * ua / (alpha * pair.sigma_min))
 
 
-def char_fn_diff_exact(pair: NeighborPair, alpha: float, u, Sigma=None) -> float:
-    """|psi(u) - psi_hat(u)| by quadrature on both stationary laws."""
-    sc = StationaryCharFn(pair.problem.A, alpha, Sigma=Sigma)
-    sc_hat = StationaryCharFn(pair.problem_hat.A, alpha, Sigma=Sigma)
+def char_fn_diff_exact(pair: NeighborPair, alpha: float, u) -> float:
+    """|psi(u) - psi_hat(u)| by quadrature on both isotropically driven stationary laws."""
+    sc = StationaryCharFn(pair.problem.A, alpha)
+    sc_hat = StationaryCharFn(pair.problem_hat.A, alpha)
     return abs(sc.evaluate(u) - sc_hat.evaluate(u))

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import stableou
-from stableou import read_run_records
+from stableou import (
+    QuadraticProblem,
+    RngStream,
+    SimConfig,
+    euler_maruyama_run,
+    generate_population,
+    read_run_records,
+)
 from stableou.cli import _DEFAULTS, _build_parser, run_cli
 
 
@@ -24,6 +31,13 @@ def write_config(tmp_path, name, payload):
 
 def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
+
+
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH, for a fresh interpreter."""
+    package_root = str(Path(stableou.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
 
 
 class TestSample:
@@ -98,7 +112,14 @@ class TestSimulate:
         with open(out / "trajectory.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "theta_1", "theta_2"]
-        assert len(rows) == 202
+        assert [row[0] for row in rows[1:]] == [str(k) for k in range(201)]
+        # The written values read back exactly as the run's iterates on the same data and forks.
+        stream = RngStream(5)
+        problem = QuadraticProblem(generate_population(2.0, 2, 30, stream.fork(0)))
+        sim = SimConfig(eta=0.05, steps=200, alpha=1.5, noise_scale=0.1)
+        expected = euler_maruyama_run(problem, sim, stream=stream.fork(1)).iterates
+        recovered = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+        np.testing.assert_array_equal(recovered, expected)
         assert read_manifest(out)["outputs"] == ["trajectory.csv"]
 
     def test_data_csv_input(self, tmp_path):
@@ -490,10 +511,7 @@ class TestPlumbing:
         target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["stableou"]
         module, attr = target.split(":")
         wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-        package_root = str(Path(stableou.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": pythonpath}
-        runs = [([sys.executable, "-c", wrapper, "--version"], env)]
+        runs = [([sys.executable, "-c", wrapper, "--version"], package_env())]
         # Wherever an installed executable is on PATH, it must work too.
         exe = shutil.which("stableou")
         if exe is not None:
@@ -502,3 +520,12 @@ class TestPlumbing:
             proc = subprocess.run(command, capture_output=True, text=True, env=run_env)
             assert proc.returncode == 0, proc.stderr
             assert "stableou" in proc.stdout
+
+    @pytest.mark.parametrize("module", ["stableou", "stableou.cli"])
+    def test_python_dash_m_runs_a_subcommand(self, module, tmp_path):
+        out = tmp_path / "out"
+        command = [sys.executable, "-m", module, "bounds", "--p", "1", "--alpha", "1.5",
+                   "--out", str(out)]
+        proc = subprocess.run(command, capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "bounds.json").read_text())["regime"] == "StableSurrogate"

@@ -189,6 +189,19 @@ class TestRecordIO:
         assert back.diverged and math.isnan(back.gen_error)
         assert back.replication == 0 and back.seed == 3
 
+    def test_written_bytes_follow_the_per_type_rule(self, tmp_path):
+        # Integers and bools as integers, every other value as repr(float), whatever its type.
+        rec = RunRecord(
+            replication=np.int64(3), alpha=2, a=np.float64(0.1), d=np.int32(5), n=10,
+            p=np.float32(1.5), seed=np.uint64(2**64 - 1), gen_error=float("nan"), diverged=True,
+        )
+        path = tmp_path / "records.csv"
+        write_run_records([rec], path)
+        assert path.read_bytes() == (
+            b"replication,alpha,a,d,n,p,seed,gen_error,diverged\r\n"
+            b"3,2.0,0.1,5,10,1.5,18446744073709551615,nan,1\r\n"
+        )
+
 
 class TestAggregation:
     def test_quartiles_match_numpy(self):

@@ -103,7 +103,7 @@ class TestClosedForms:
                 reference_exponent(A, alpha, u), rel=1e-7
             )
 
-    def test_general_noise_matrix_against_adaptive_quadrature(self):
+    def test_preconditioned_noise_against_adaptive_quadrature(self):
         gen = RngStream(53).generator
         A = random_spd(gen, 3)
         Sigma = gen.standard_normal((3, 3)) * 0.5 + np.eye(3)
