@@ -66,6 +66,7 @@ from .simulate import (
     Trajectory,
     default_burn_in,
     euler_maruyama_run,
+    final_iterate,
     stationary_sample,
 )
 from .special import digamma, gamma_fn
@@ -120,6 +121,7 @@ __all__ = [
     "empirical_stability_gap",
     "estimate_tail_index",
     "euler_maruyama_run",
+    "final_iterate",
     "gamma_fn",
     "generalization_error",
     "generate_population",

@@ -188,10 +188,8 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     _write_csv(out_dir / "trajectory.csv", header, rows)
     _finish(out_dir, "simulate", cfg, ["trajectory.csv"])
     status = "diverged" if traj.diverged else "completed"
-    print(
-        f"{status}: {len(traj) - 1} steps, final iterate norm "
-        f"{float(np.linalg.norm(traj.final)):.6g}"
-    )
+    # hypot scales its arguments, so a diverged iterate near 1e300 does not overflow.
+    print(f"{status}: {len(traj) - 1} steps, final iterate norm {math.hypot(*traj.final):.6g}")
     return 0
 
 

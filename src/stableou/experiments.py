@@ -33,7 +33,8 @@ from .simulate import (
     _recursion,
     check_step_size,
     default_burn_in,
-    euler_maruyama_run,
+    euler_maruyama_run,  # noqa: F401  (looked up here by perfbench/layers.py)
+    final_iterate,
 )
 from .stationary import NeighborPair
 
@@ -169,12 +170,11 @@ def _run_replication(
     train = population[idx]
     problem = QuadraticProblem(train)
     sim = SimConfig(eta=cfg.eta, steps=cfg.steps, alpha=alpha, noise_scale=cfg.noise_scale)
-    traj = euler_maruyama_run(problem, sim, stream=stream.fork(1))
-    if traj.diverged:
+    theta, diverged = final_iterate(problem, sim, stream.fork(1))
+    if diverged:
         gen = float("nan")
-        diverged = True
     else:
-        gen = generalization_error(traj.final, train, population, cfg.p)
+        gen = generalization_error(theta, train, population, cfg.p)
         diverged = not math.isfinite(gen)
     return RunRecord(replication, alpha, a, d, cfg.n, cfg.p, seed, gen, diverged)
 

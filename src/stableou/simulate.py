@@ -59,7 +59,8 @@ class QuadraticProblem:
             raise ShapeError(f"drift matrix failed the symmetry check ({asym:.3e})")
         self.A = (A + A.T) / 2.0
         self.b = X.T @ y / n
-        self.eigenvalues = np.linalg.eigvalsh(self.A)
+        # A = eigenvectors @ diag(eigenvalues) @ eigenvectors.T, eigenvalues ascending.
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.A)
 
     @property
     def lambda_min(self) -> float:
@@ -168,6 +169,17 @@ def _recursion(theta, A, b, eta, shocks):
         yield theta
 
 
+def _driving_noise(d: int, config: SimConfig, stream: RngStream | None) -> np.ndarray:
+    """The (steps, d) shocks eta^(1/alpha) * noise_scale * E_k, drawn from ``stream``."""
+    if config.noise_scale == 0.0:
+        return np.zeros((config.steps, d))
+    if stream is None:
+        raise ParameterError("a stream is required when noise_scale > 0")
+    e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=config.steps)
+    with np.errstate(over="ignore"):
+        return (config.eta ** (1.0 / config.alpha)) * (config.noise_scale * e)
+
+
 def euler_maruyama_run(
     problem: QuadraticProblem,
     config: SimConfig,
@@ -189,16 +201,7 @@ def euler_maruyama_run(
     check_step_size(problem, config)
 
     steps = config.steps
-    if config.noise_scale > 0.0 and stream is None:
-        raise ParameterError("a stream is required when noise_scale > 0")
-
-    if config.noise_scale > 0.0:
-        e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=steps)
-        with np.errstate(over="ignore"):
-            noise = (config.eta ** (1.0 / config.alpha)) * (config.noise_scale * e)
-    else:
-        noise = np.zeros((steps, d))
-
+    noise = _driving_noise(d, config, stream)
     iterates = np.empty((steps + 1, d))
     iterates[0] = theta0
     last = 0
@@ -206,6 +209,54 @@ def euler_maruyama_run(
         iterates[last] = theta
 
     return Trajectory(iterates=iterates[: last + 1], diverged=last < steps)
+
+
+def final_iterate(
+    problem: QuadraticProblem, config: SimConfig, stream: RngStream | None = None
+) -> tuple[np.ndarray, bool]:
+    """theta_T and the divergence flag of ``euler_maruyama_run`` from theta_0 = 0, with no path.
+
+    In the eigenbasis A = Q diag(lambda) Q^T the recursion is elementwise,
+    z_{k+1} = m * z_k + c_k with m = 1 - eta * lambda and c_k = Q^T (eta b + noise_k),
+    so z_T = sum_k m^(T-1-k) * c_k. When every |m_i| <= 1 and
+    sum_k ||c_k||_2 < OVERFLOW_LIMIT, no iterate can overflow and that sum
+    is theta_T in the eigenbasis. Otherwise the recursion is stepped over the
+    same noise, so the flag is always the loop's.
+    """
+    check_step_size(problem, config)
+    noise = _driving_noise(problem.d, config, stream)
+    Q = problem.eigenvectors
+    m = 1.0 - config.eta * problem.eigenvalues
+    if np.all(np.abs(m) <= 1.0) and np.all(np.isfinite(noise)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = noise @ Q
+            c += config.eta * (problem.b @ Q)
+            certified = np.linalg.norm(c, axis=1).sum() < OVERFLOW_LIMIT
+        if certified:
+            return Q @ _weighted_sum(m, c), False
+    theta, last = np.zeros(problem.d), 0
+    for last, theta in enumerate(_recursion(theta, problem.A, problem.b, config.eta, noise), 1):
+        pass
+    return theta, last < config.steps
+
+
+def _weighted_sum(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k m^(T-1-k) * c_k over the T rows of c, in blocks of isqrt(T) rows.
+
+    A (B, d) table of the powers m^0 .. m^(B-1) weights every block at once;
+    a Horner pass with m^B then joins the block sums, oldest first. A short
+    leading block takes the last of the table's rows.
+    """
+    T, d = c.shape
+    B = math.isqrt(T)
+    head = T % B
+    weights = m ** np.arange(B - 1, -1, -1)[:, None]
+    z = np.einsum("id,id->d", c[:head], weights[B - head :])
+    blocks = np.einsum("jid,id->jd", c[head:].reshape(-1, B, d), weights)
+    stride = m**B
+    for block in blocks:
+        z = z * stride + block
+    return z
 
 
 def stationary_sample(

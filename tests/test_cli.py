@@ -137,6 +137,19 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
 
+    def test_diverged_run_prints_a_finite_norm(self, tmp_path, capsys):
+        # The last kept iterate has coordinates near 1e300, whose squares overflow.
+        cfg = write_config(tmp_path, "c.json", {
+            "alpha": 1.5, "eta": 8.0, "steps": 3000, "n": 30, "d": 2, "a": 2.0,
+            "noise_scale": 0.1, "seed": 3, "allow_unstable": True,
+        })
+        with pytest.warns(UserWarning, match="noiseless recursion diverges"):
+            code = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("diverged: 1430 steps, final iterate norm ")
+        assert 1e299 < float(stdout.split()[-1]) < math.inf
+
     def test_unstable_step_fails(self, tmp_path, capsys):
         code = run_cli([
             "simulate", "--alpha", "2.0", "--eta", "50.0", "--steps", "50",

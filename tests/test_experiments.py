@@ -32,6 +32,7 @@ from stableou import (
     write_run_records,
     write_sweep_svg,
 )
+from stableou import experiments, simulate
 from stableou.experiments import _coupled_stationary_draws
 
 TINY_SWEEP = dict(
@@ -139,6 +140,28 @@ class TestSyntheticSweep:
     def test_replay_reproduces_each_record(self):
         cfg = SweepConfig(**TINY_SWEEP)
         records = run_synthetic_sweep(cfg)
+        for r in records:
+            assert replay_record(cfg, r) == r
+
+    def test_infinite_shocks_give_diverged_nan_records(self):
+        records = run_synthetic_sweep(SweepConfig(**{**TINY_SWEEP, "alpha_grid": (0.01,)}))
+        assert all(r.diverged and math.isnan(r.gen_error) for r in records)
+
+    def test_check_06_shape_never_steps_the_loop(self, monkeypatch):
+        # At d = 100, eta = 0.1 and 3,000 steps every run is certified free of
+        # overflow, so its final iterate comes from the closed form alone.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep stepped the recursion loop")
+
+        monkeypatch.setattr(simulate, "euler_maruyama_run", refuse)
+        monkeypatch.setattr(experiments, "euler_maruyama_run", refuse)
+        monkeypatch.setattr(simulate, "_recursion", refuse)
+        cfg = SweepConfig(
+            alpha_grid=(1.1, 1.5, 2.0), a_grid=(1.0, 8.0), d_grid=(100,), n=1000,
+            population_size=2000, replications=1, eta=0.1, steps=3000, noise_scale=0.1,
+        )
+        records = run_synthetic_sweep(cfg)
+        assert not any(r.diverged for r in records)
         for r in records:
             assert replay_record(cfg, r) == r
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from stableou import (
     Trajectory,
     default_burn_in,
     euler_maruyama_run,
+    final_iterate,
     stationary_sample,
 )
 
@@ -154,6 +157,51 @@ def test_theta0_dimension_checked():
     cfg = SimConfig(eta=0.05, steps=10, alpha=1.5, noise_scale=0.0)
     with pytest.raises(ShapeError):
         euler_maruyama_run(prob, cfg, np.ones(prob.d + 1))
+
+
+class TestFinalIterate:
+    # Steps cover a single step, 37 = 6 * 6 + 1 and 1000 = 31 * 32 + 8, which is no
+    # multiple of its block size isqrt(1000) = 31; a contraction eta * lambda_max
+    # in (1, 2) makes some 1 - eta * lambda negative.
+    @pytest.mark.parametrize("d", [1, 7, 100])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    @pytest.mark.parametrize(
+        "steps, contraction, noise_scale",
+        [(1, 0.5, 0.1), (37, 0.3, 1.0), (1000, 0.5, 0.1), (1000, 1.6, 0.1), (1000, 1.6, 0.0)],
+    )
+    def test_matches_the_loop(self, d, alpha, steps, contraction, noise_scale):
+        prob = make_problem(seed=d, n=200, d=d, with_targets=True)
+        cfg = SimConfig(
+            eta=contraction / prob.lambda_max, steps=steps, alpha=alpha, noise_scale=noise_scale
+        )
+        # A noiseless run needs no stream.
+        traj = euler_maruyama_run(prob, cfg, stream=RngStream(11) if noise_scale else None)
+        theta, diverged = final_iterate(prob, cfg, RngStream(11) if noise_scale else None)
+        assert not diverged and not traj.diverged
+        assert np.linalg.norm(theta - traj.final) <= 1e-12 * np.linalg.norm(traj.final)
+
+    @pytest.mark.parametrize(
+        "alpha, contraction, noise_scale, diverges",
+        [
+            (0.01, 0.5, 0.1, True),  # infinite shocks
+            (2.0, 2.5, 0.1, True),  # eta * lambda_max > 2 grows without bound
+            (1.5, 2.0001, 0.1, False),  # ... but 1.0001^3000 stays small
+            (2.0, 0.5, 1e298, False),  # the shocks' norms sum past 1e300, the iterates do not
+            (2.0, 0.5, 1e300, True),
+        ],
+    )
+    def test_uncertified_runs_step_the_loop(self, alpha, contraction, noise_scale, diverges):
+        prob = make_problem(seed=9, n=40, d=4)
+        cfg = SimConfig(
+            eta=contraction / prob.lambda_max, steps=3000, alpha=alpha, noise_scale=noise_scale,
+            allow_unstable=True,
+        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "eta \\* lambda_max", UserWarning)
+            traj = euler_maruyama_run(prob, cfg, stream=RngStream(12))
+            theta, diverged = final_iterate(prob, cfg, RngStream(12))
+        assert diverged == traj.diverged == diverges
+        np.testing.assert_array_equal(theta, traj.final)
 
 
 def test_default_burn_in_is_ten_mixing_times():
