@@ -433,7 +433,7 @@ def run_cli(argv=None) -> int:
     except AccuracyError as exc:
         _emit_error(exc)
         return 2
-    except (StableOUError, ValueError, KeyError, OSError) as exc:
+    except (StableOUError, ValueError, TypeError, KeyError, OSError) as exc:
         _emit_error(exc)
         return 1
 

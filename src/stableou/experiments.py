@@ -26,10 +26,11 @@ from .errors import (
     UnstableRegimeError,
 )
 from .rng import RngStream
-from .sampling import StableParams, sample_isotropic_stable
+from .sampling import sample_isotropic_stable  # noqa: F401  (looked up here by perfbench/layers.py)
 from .simulate import (
     QuadraticProblem,
     SimConfig,
+    _driving_noise,
     _recursion,
     check_step_size,
     default_burn_in,
@@ -251,16 +252,12 @@ def _coupled_stationary_draws(
         )
     burn = default_burn_in(slowest, sim)
     d = pair.d
-    scale = sim.eta ** (1.0 / sim.alpha)
-    params = StableParams(alpha=sim.alpha, sigma=1.0)
     noise_stream = stream.fork(0)
-    draws = (sample_isotropic_stable(d, params, noise_stream, size=n_mc) for _ in range(burn))
-    shocks = ((scale * (sim.noise_scale * e)).T for e in draws)
+    shocks = (_driving_noise(d, sim, noise_stream, n_mc).T for _ in range(burn))
     # Chain j of dataset i is column j of state[i].
     state = np.zeros((2, d, n_mc))
     A = np.stack([prob.A for prob in problems])
-    b = np.stack([prob.b for prob in problems])[:, :, None]
-    last = deque(enumerate(_recursion(state, A, b, sim.eta, shocks), 1), maxlen=1)
+    last = deque(enumerate(_recursion(state, A, sim.eta, shocks), 1), maxlen=1)
     done, state = last.pop() if last else (0, state)
     if done < burn:
         raise AccuracyError(
@@ -344,13 +341,14 @@ def cauchy_doubling_check(values, initial_window: int = 1000, rel_tol: float = 0
     return max_change <= rel_tol, max_change
 
 
-def aggregate_median_iqr(records, group_keys=("alpha", "a", "d")) -> list[dict]:
-    """Median and quartiles of gen_error per group.
+def aggregate_median_iqr(records) -> list[dict]:
+    """Median and quartiles of gen_error per (alpha, a, d) group.
 
     Divergent (or nonfinite) records are excluded from the quantiles but
     counted in n_diverged; a group with no usable records reports NaN
     quantiles alongside its divergence count.
     """
+    group_keys = AGGREGATE_COLUMNS[:3]
     groups: dict[tuple, list[RunRecord]] = {}
     for rec in records:
         key = tuple(getattr(rec, k) for k in group_keys)

@@ -61,14 +61,13 @@ def _positive_exponentials(gen: np.random.Generator, n: int) -> np.ndarray:
     return w
 
 
-def sample_sas_scalar(params: StableParams, stream: RngStream, size: int | None = None):
-    """Draw from the symmetric alpha-stable law SaS(sigma).
+def sample_sas_scalar(params: StableParams, stream: RngStream, size: int):
+    """Draw ``size`` values from the symmetric alpha-stable law SaS(sigma).
 
-    Returns a float when ``size`` is None, else an array of ``size`` draws.
     The alpha=2 draw is Gaussian with variance 2 sigma^2 and alpha=1 is
     Cauchy with scale sigma, matching exp(-sigma^alpha |u|^alpha).
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 0:
         raise ParameterError(f"size must be nonnegative, got {size}")
     gen = stream.generator
@@ -87,11 +86,11 @@ def sample_sas_scalar(params: StableParams, stream: RngStream, size: int | None 
                 / np.cos(u) ** (1.0 / alpha)
                 * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
             )
-    return float(x[0]) if size is None else x
+    return x
 
 
-def sample_skewed_positive_stable(alpha_prime: float, stream: RngStream, size: int | None = None):
-    """Draw a positive stable subordinator with E[exp(-lam A)] = exp(-lam^alpha_prime).
+def sample_skewed_positive_stable(alpha_prime: float, stream: RngStream, size: int):
+    """Draw ``size`` positive stable values A with E[exp(-lam A)] = exp(-lam^alpha_prime).
 
     This is the totally skewed (beta=1) stable law on (0, inf), generated by
     the Chambers-Mallows-Stuck transform with the skew angle at its maximum.
@@ -101,7 +100,7 @@ def sample_skewed_positive_stable(alpha_prime: float, stream: RngStream, size: i
     """
     if not (0.0 < alpha_prime < 1.0):
         raise ParameterError(f"alpha_prime must lie in (0, 1), got {alpha_prime}")
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 0:
         raise ParameterError(f"size must be nonnegative, got {size}")
     gen = stream.generator
@@ -115,11 +114,11 @@ def sample_skewed_positive_stable(alpha_prime: float, stream: RngStream, size: i
             / np.cos(u) ** (1.0 / alpha_prime)
             * (np.cos(u - shifted) / w) ** ((1.0 - alpha_prime) / alpha_prime)
         )
-    return float(a[0]) if size is None else a
+    return a
 
 
-def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, size: int | None = None):
-    """Draw a rotationally symmetric alpha-stable vector in R^d.
+def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, size: int):
+    """Draw a (size, d) array of rotationally symmetric alpha-stable vectors in R^d.
 
     Construction: X = sigma * sqrt(2 A) * G with G standard Gaussian and A
     the positive (alpha/2)-stable subordinator above, giving
@@ -128,13 +127,11 @@ def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, siz
     small alpha a draw whose exact value lies outside float range comes out
     as +inf or nan, without a numpy warning; the recursion reports such a
     draw as divergence.
-
-    Returns shape (d,) when ``size`` is None, else (size, d).
     """
     d = int(d)
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 0:
         raise ParameterError(f"size must be nonnegative, got {size}")
     gen = stream.generator
@@ -147,7 +144,7 @@ def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, siz
         g = gen.standard_normal((n, d))
         with np.errstate(over="ignore", invalid="ignore"):
             x = sigma * np.sqrt(2.0 * a)[:, None] * g
-    return x[0] if size is None else x
+    return x
 
 
 def empirical_char_fn(samples, u) -> complex:

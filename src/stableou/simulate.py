@@ -1,12 +1,13 @@
 """Euler-Maruyama simulation of the stable-noise-driven OU recursion.
 
-The iteration for a least-squares problem with data (X, y) is
+The iteration for a least-squares problem with data X is
 
-    theta_{k+1} = theta_k - eta * (A theta_k - b) + eta^(1/alpha) * S E_{k+1}
+    theta_{k+1} = theta_k - eta * A theta_k + eta^(1/alpha) * noise_scale * E_{k+1}
 
-with A = (1/n) X^T X, b = (1/n) X^T y, S = noise_scale * I and
-E_k i.i.d. rotationally symmetric alpha-stable with unit scale. With
-noise_scale = 0 this is plain gradient descent on the quadratic risk.
+with A = (1/n) X^T X and E_k i.i.d. rotationally symmetric alpha-stable
+with unit scale. The problem has no label term, so the chain is centred at
+zero; with noise_scale = 0 it is plain gradient descent on the quadratic
+risk.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ _BURN_IN_MIXING_TIMES = 10.0
 
 
 class QuadraticProblem:
-    """Least-squares data (X, y) with the derived drift A = (1/n) X^T X, b = (1/n) X^T y."""
+    """Data X with the derived drift A = (1/n) X^T X; there is no label term."""
 
-    def __init__(self, X, y=None):
+    def __init__(self, X):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[:, None]
@@ -42,14 +43,8 @@ class QuadraticProblem:
         n, d = X.shape
         if n < 1 or d < 1:
             raise ShapeError(f"X needs n >= 1 and d >= 1, got shape {X.shape}")
-        if y is None:
-            y = np.zeros(n)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.shape[0] != n:
-            raise ShapeError(f"y has length {y.shape[0]} but X has {n} rows")
 
         self.X = X
-        self.y = y
         self.n = n
         self.d = d
         A = X.T @ X / n
@@ -58,7 +53,6 @@ class QuadraticProblem:
         if asym > 1e-12 * scale:
             raise ShapeError(f"drift matrix failed the symmetry check ({asym:.3e})")
         self.A = (A + A.T) / 2.0
-        self.b = X.T @ y / n
         # A = eigenvectors @ diag(eigenvalues) @ eigenvectors.T, eigenvalues ascending.
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.A)
 
@@ -155,27 +149,27 @@ def check_step_size(problem: QuadraticProblem, config: SimConfig) -> None:
         )
 
 
-def _recursion(theta, A, b, eta, shocks):
-    """Yield theta <- theta - eta * (A theta - b) + shock for each shock in turn.
+def _recursion(theta, A, eta, shocks):
+    """Yield theta <- theta - eta * A theta + shock for each shock in turn.
 
     theta is a (d,) state, or a stack of column states such as (2, d, n_mc)
     with A of shape (2, d, d). Stops before the first iterate that is
     non-finite or has a coordinate above OVERFLOW_LIMIT in magnitude.
     """
     for shock in shocks:
-        theta = theta - eta * (A @ theta - b) + shock
+        theta = theta - eta * (A @ theta) + shock
         if not np.all(np.abs(theta) <= OVERFLOW_LIMIT):
             return
         yield theta
 
 
-def _driving_noise(d: int, config: SimConfig, stream: RngStream | None) -> np.ndarray:
-    """The (steps, d) shocks eta^(1/alpha) * noise_scale * E_k, drawn from ``stream``."""
+def _driving_noise(d: int, config: SimConfig, stream: RngStream | None, size: int) -> np.ndarray:
+    """The (size, d) shocks eta^(1/alpha) * noise_scale * E_k, drawn from ``stream``."""
     if config.noise_scale == 0.0:
-        return np.zeros((config.steps, d))
+        return np.zeros((size, d))
     if stream is None:
         raise ParameterError("a stream is required when noise_scale > 0")
-    e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=config.steps)
+    e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=size)
     with np.errstate(over="ignore"):
         return (config.eta ** (1.0 / config.alpha)) * (config.noise_scale * e)
 
@@ -201,11 +195,11 @@ def euler_maruyama_run(
     check_step_size(problem, config)
 
     steps = config.steps
-    noise = _driving_noise(d, config, stream)
+    noise = _driving_noise(d, config, stream, steps)
     iterates = np.empty((steps + 1, d))
     iterates[0] = theta0
     last = 0
-    for last, theta in enumerate(_recursion(theta0, problem.A, problem.b, config.eta, noise), 1):
+    for last, theta in enumerate(_recursion(theta0, problem.A, config.eta, noise), 1):
         iterates[last] = theta
 
     return Trajectory(iterates=iterates[: last + 1], diverged=last < steps)
@@ -217,25 +211,24 @@ def final_iterate(
     """theta_T and the divergence flag of ``euler_maruyama_run`` from theta_0 = 0, with no path.
 
     In the eigenbasis A = Q diag(lambda) Q^T the recursion is elementwise,
-    z_{k+1} = m * z_k + c_k with m = 1 - eta * lambda and c_k = Q^T (eta b + noise_k),
+    z_{k+1} = m * z_k + c_k with m = 1 - eta * lambda and c_k = Q^T noise_k,
     so z_T = sum_k m^(T-1-k) * c_k. When every |m_i| <= 1 and
     sum_k ||c_k||_2 < OVERFLOW_LIMIT, no iterate can overflow and that sum
     is theta_T in the eigenbasis. Otherwise the recursion is stepped over the
     same noise, so the flag is always the loop's.
     """
     check_step_size(problem, config)
-    noise = _driving_noise(problem.d, config, stream)
+    noise = _driving_noise(problem.d, config, stream, config.steps)
     Q = problem.eigenvectors
     m = 1.0 - config.eta * problem.eigenvalues
     if np.all(np.abs(m) <= 1.0) and np.all(np.isfinite(noise)):
         with np.errstate(over="ignore", invalid="ignore"):
             c = noise @ Q
-            c += config.eta * (problem.b @ Q)
             certified = np.linalg.norm(c, axis=1).sum() < OVERFLOW_LIMIT
         if certified:
             return Q @ _weighted_sum(m, c), False
     theta, last = np.zeros(problem.d), 0
-    for last, theta in enumerate(_recursion(theta, problem.A, problem.b, config.eta, noise), 1):
+    for last, theta in enumerate(_recursion(theta, problem.A, config.eta, noise), 1):
         pass
     return theta, last < config.steps
 

@@ -1,9 +1,9 @@
 """Stationary law of the stable-driven OU process, in Fourier form.
 
 The stationary characteristic function for drift matrix A (symmetric,
-positive definite) and noise matrix S is
+positive definite) under isotropic unit-scale noise is
 
-    psi(u) = exp( - integral_0^inf || S^T exp(-s A) u ||_2^alpha ds )
+    psi(u) = exp( - integral_0^inf || exp(-s A) u ||_2^alpha ds )
 
 evaluated here by diagonalizing A once and applying adaptive
 Gauss-Legendre quadrature on a truncated horizon. The module also carries
@@ -34,14 +34,14 @@ _gauss_nodes = functools.cache(leggauss)
 
 
 class StationaryCharFn:
-    """Evaluates psi(u) for fixed (A, Sigma, alpha).
+    """Evaluates psi(u) for fixed (A, alpha).
 
     A must be strictly positive definite (the stationary law does not exist
     otherwise); its eigendecomposition is computed once at construction.
     Immutable afterwards, so concurrent evaluation is safe.
     """
 
-    def __init__(self, A, alpha: float, Sigma=None):
+    def __init__(self, A, alpha: float):
         A = np.asarray(A, dtype=float)
         if A.ndim == 0:
             A = A.reshape(1, 1)
@@ -61,26 +61,10 @@ class StationaryCharFn:
         self.eigenvalues = lam
         self._q = q
         self.d = A.shape[0]
-        if Sigma is None:
-            self.Sigma = None
-            self._m = None
-            self._sigma_norm = 1.0
-        else:
-            Sigma = np.asarray(Sigma, dtype=float)
-            if Sigma.shape != A.shape:
-                raise ShapeError(f"Sigma has shape {Sigma.shape}, expected {A.shape}")
-            self.Sigma = Sigma
-            self._m = Sigma.T @ q
-            self._sigma_norm = float(np.linalg.norm(Sigma, 2))
 
     def _integrand(self, s: np.ndarray, w: np.ndarray) -> np.ndarray:
         decay = np.exp(-np.outer(s, self.eigenvalues)) * w[None, :]
-        if self._m is None:
-            sq = np.einsum("ij,ij->i", decay, decay)
-        else:
-            v = decay @ self._m.T
-            sq = np.einsum("ij,ij->i", v, v)
-        return sq ** (self.alpha / 2.0)
+        return np.einsum("ij,ij->i", decay, decay) ** (self.alpha / 2.0)
 
     def exponent(self, u) -> float:
         """The integral in the exponent of psi(u), to ~1e-9 relative accuracy."""
@@ -94,8 +78,8 @@ class StationaryCharFn:
         alpha = self.alpha
         lam_min = float(self.eigenvalues[0])
         # Horizon from the analytic tail bound
-        # integral_T^inf (||Sigma|| ||u|| e^{-lam_min s})^alpha ds < _TAIL_TOL.
-        lead = (self._sigma_norm * unorm) ** alpha
+        # integral_T^inf (||u|| e^{-lam_min s})^alpha ds < _TAIL_TOL.
+        lead = unorm**alpha
         horizon = math.log(max(lead / (alpha * lam_min * _TAIL_TOL), 2.0)) / (alpha * lam_min)
 
         w = self._q.T @ u
@@ -214,21 +198,15 @@ def char_fn_diff_bound_1d(pair: NeighborPair, alpha: float, u: float) -> float:
     return prefactor * math.exp(-ua * pair.n / (alpha * max(norm_sq, norm_hat_sq)))
 
 
-def char_fn_diff_bound_dd(
-    pair: NeighborPair, alpha: float, u, lambda_min: float = 1.0, lambda_max: float = 1.0
-) -> float:
+def char_fn_diff_bound_dd(pair: NeighborPair, alpha: float, u) -> float:
     """Closed-form bound on |psi(u) - psi_hat(u)| in d dimensions.
 
     Uses the (|sigma1| + |sigma2|) convention for the rank-2 perturbation
     term, since the second eigenvalue is nonpositive whenever the rows
-    differ. The noise-matrix spectrum enters as a lambda_max^alpha
-    prefactor and a lambda_min^alpha shrink of the exponent; both are
-    exactly 1 at the isotropic default lambda_min = lambda_max = 1.
+    differ. The driving noise is isotropic with unit scale.
     """
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    if not (0.0 < lambda_min <= lambda_max):
-        raise ParameterError(f"need 0 < lambda_min <= lambda_max, got {lambda_min}, {lambda_max}")
     if pair.sigma_min <= 0.0:
         raise DegenerateDataError(
             f"smallest Gram eigenvalue is {pair.sigma_min:.4g}; the bound needs it positive"
@@ -238,8 +216,8 @@ def char_fn_diff_bound_dd(
         raise ShapeError(f"u has shape {uvec.shape}, expected ({pair.d},)")
     ua = float(np.linalg.norm(uvec)) ** alpha
     perturbation = abs(pair.sigma1) + abs(pair.sigma2)
-    prefactor = (lambda_max**alpha) * 2.0 * perturbation * ua / (pair.n * alpha * pair.sigma_min)
-    return prefactor * math.exp(-(lambda_min**alpha) * ua / (alpha * pair.sigma_min))
+    prefactor = 2.0 * perturbation * ua / (pair.n * alpha * pair.sigma_min)
+    return prefactor * math.exp(-ua / (alpha * pair.sigma_min))
 
 
 def char_fn_diff_exact(pair: NeighborPair, alpha: float, u) -> float:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -515,6 +516,31 @@ class TestPlumbing:
         path = tmp_path / "c.json"
         path.write_text("[1, 2]")
         assert run_cli(["sample", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("sweep", {**SWEEP_CFG, "alpha_grid": 1.5}), ("simulate", {"alpha": [1.5], "n": 30})],
+    )
+    def test_wrongly_typed_value_is_a_json_error(self, command, payload, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "TypeError"
+
+    def test_benchmark_tracer_wraps_and_restores_existing_names(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+        if not path.exists():
+            pytest.skip("perfbench/layers.py is absent")
+        spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+
+        def lookup(owner, attr):
+            return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+        originals = [(owner, attr, lookup(owner, attr)) for owner, attr, *_ in layers._WRAPPED]
+        with layers.Tracer():
+            assert all(lookup(owner, attr) is not fn for owner, attr, fn in originals)
+        assert all(lookup(owner, attr) is fn for owner, attr, fn in originals)
 
     def test_console_script_is_installed(self):
         # The declared entry point is run the way an installer's wrapper runs

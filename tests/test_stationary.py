@@ -28,15 +28,12 @@ def random_spd(gen, d, spread=2.0):
     return (q * lam) @ q.T
 
 
-def reference_exponent(A, alpha, u, Sigma=None):
+def reference_exponent(A, alpha, u):
     # Independent route: scipy adaptive quadrature on the raw integrand.
     A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    S = np.eye(d) if Sigma is None else np.asarray(Sigma, dtype=float)
 
     def f(s):
-        m = scipy.linalg.expm(-s * A)
-        return float(np.linalg.norm(S.T @ m @ u) ** alpha)
+        return float(np.linalg.norm(scipy.linalg.expm(-s * A) @ u) ** alpha)
 
     lam_min = np.linalg.eigvalsh(A)[0]
     horizon = 60.0 / (alpha * lam_min)
@@ -61,8 +58,6 @@ class TestConstruction:
             StationaryCharFn(np.eye(2), 2.5)
         with pytest.raises(ShapeError):
             StationaryCharFn(np.ones((2, 3)), 1.5)
-        with pytest.raises(ShapeError):
-            StationaryCharFn(np.eye(2), 1.5, Sigma=np.eye(3))
 
     def test_small_asymmetry_is_absorbed(self):
         A = np.array([[2.0, 1e-14], [0.0, 1.0]])
@@ -102,23 +97,6 @@ class TestClosedForms:
             assert sc.exponent(u) == pytest.approx(
                 reference_exponent(A, alpha, u), rel=1e-7
             )
-
-    def test_preconditioned_noise_against_adaptive_quadrature(self):
-        gen = RngStream(53).generator
-        A = random_spd(gen, 3)
-        Sigma = gen.standard_normal((3, 3)) * 0.5 + np.eye(3)
-        u = gen.standard_normal(3)
-        sc = StationaryCharFn(A, 1.6, Sigma=Sigma)
-        assert sc.exponent(u) == pytest.approx(
-            reference_exponent(A, 1.6, u, Sigma=Sigma), rel=1e-7
-        )
-
-    def test_diagonal_noise_scales_the_exponent(self):
-        A = np.diag([1.0, 2.0])
-        u = np.array([0.7, -0.4])
-        plain = StationaryCharFn(A, 1.5).exponent(u)
-        scaled = StationaryCharFn(A, 1.5, Sigma=2.0 * np.eye(2)).exponent(u)
-        assert scaled == pytest.approx(2.0**1.5 * plain, rel=1e-9)
 
 
 class TestShapeInvariants:
@@ -337,24 +315,6 @@ class TestDiffBoundDd:
         pair = NeighborPair(X, X_hat)
         with pytest.raises(DegenerateDataError):
             char_fn_diff_bound_dd(pair, 1.5, np.ones(3))
-
-    def test_general_noise_form_reduces_at_unit_spectrum(self):
-        gen = RngStream(63).generator
-        pair = make_pair_dd(gen)
-        u = gen.standard_normal(3)
-        plain = char_fn_diff_bound_dd(pair, 1.4, u)
-        unit = char_fn_diff_bound_dd(pair, 1.4, u, lambda_min=1.0, lambda_max=1.0)
-        assert unit == plain
-        with pytest.raises(ParameterError):
-            char_fn_diff_bound_dd(pair, 1.4, u, lambda_min=1.5, lambda_max=0.9)
-
-    def test_general_noise_form_grows_with_spectral_radius(self):
-        gen = RngStream(64).generator
-        pair = make_pair_dd(gen)
-        u = 0.5 * gen.standard_normal(3)
-        plain = char_fn_diff_bound_dd(pair, 1.4, u)
-        wide = char_fn_diff_bound_dd(pair, 1.4, u, lambda_min=0.9, lambda_max=1.5)
-        assert wide > plain
 
     @pytest.mark.parametrize("alpha", [1.3, 1.8, 2.0])
     def test_dominates_exact_difference(self, alpha):
