@@ -17,7 +17,6 @@ from .bounds import (
     StabilityRegime,
     alpha_factor,
     classify_regime,
-    lower_bound_1d,
     monotonicity_scan,
     threshold_alpha0,
     upper_bound_1d,
@@ -76,6 +75,7 @@ from .stationary import (
     char_fn_diff_bound_1d,
     char_fn_diff_bound_dd,
     char_fn_diff_exact,
+    exact_stability_gap,
     rank2_eigenvalues,
 )
 from .tail import (
@@ -121,11 +121,11 @@ __all__ = [
     "empirical_stability_gap",
     "estimate_tail_index",
     "euler_maruyama_run",
+    "exact_stability_gap",
     "final_iterate",
     "gamma_fn",
     "generalization_error",
     "generate_population",
-    "lower_bound_1d",
     "median_center",
     "monotonicity_scan",
     "rank2_eigenvalues",

@@ -1,8 +1,8 @@
 """Closed-form stability bounds for the stable-noise least-squares recursion.
 
 Upper bounds for the 1-d and d-dimensional surrogate losses |theta^T x|^p,
-the matching lower bound, the variance threshold governing monotonicity in
-the tail index, and regime classification. All operations are pure.
+the variance threshold governing monotonicity in the tail index, and regime
+classification. All operations are pure.
 """
 
 from __future__ import annotations
@@ -125,9 +125,8 @@ def _warn_if_near_pole(p: float, alpha: float) -> None:
 def alpha_factor(alpha: float, p: float, sigma_sq: float) -> float:
     """The alpha-dependent factor (1/alpha)(1/(alpha sigma_sq))^(p/alpha) Gamma(1-p/alpha).
 
-    upper_bound_1d, upper_bound_dd and lower_bound_1d all multiply this one
-    factor, which is why the 1-d lower-to-upper ratio is constant in alpha
-    (claim (iii)).
+    upper_bound_1d and upper_bound_dd both multiply this one factor, so it
+    carries all of their dependence on alpha.
     """
     if not p < alpha:
         raise ParameterError(f"need p < alpha, got p={p}, alpha={alpha}")
@@ -244,36 +243,6 @@ def threshold_alpha0(
         else:
             lo = mid
     return hi
-
-
-def lower_bound_1d(b: BoundInputs, delta_gap: float, a1_hint: float | None = None) -> float:
-    """Stability lower bound from the explicit two-point data construction.
-
-    delta_gap is the effective-dataset gap |mean(x y) - mean(x~ y~)| * n and
-    a1_hint the common squared data norm of the construction (defaults to
-    sigma2 * n). The bound is alpha_factor at sigma_sq = a1_hint / n times an
-    alpha-free lead, as the upper bound is, so the ratio of the two is
-    constant in alpha with all else fixed.
-    """
-    if delta_gap < 0:
-        raise ParameterError(f"delta_gap must be nonnegative, got {delta_gap}")
-    if not b.p < b.alpha:
-        raise ParameterError(
-            f"the lower bound needs p < alpha, got p={b.p}, alpha={b.alpha}"
-        )
-    if a1_hint is None:
-        a1_hint = b.sigma2 * b.n
-    if not a1_hint > 0:
-        raise ParameterError(f"a1_hint must be positive, got {a1_hint}")
-    if delta_gap == 0.0:
-        return 0.0
-    return (
-        (2.0 * b.R**b.p / math.pi)
-        * gamma_fn(b.p + 1.0)
-        * _cos_factor(b.p)
-        * (delta_gap / a1_hint)
-        * alpha_factor(b.alpha, b.p, a1_hint / b.n)
-    )
 
 
 def monotonicity_scan(bound_fn, alpha0: float, grid_size: int) -> tuple[bool, float | None]:

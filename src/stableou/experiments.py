@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import StabilityRegime, classify_regime
-from .errors import (
-    AccuracyError,
-    DegenerateDataError,
-    ParameterError,
-    ShapeError,
-    UnstableRegimeError,
-)
+from .errors import AccuracyError, DegenerateDataError, ParameterError, ShapeError
 from .rng import RngStream
 from .sampling import sample_isotropic_stable  # noqa: F401  (looked up here by perfbench/layers.py)
 from .simulate import (
@@ -37,7 +30,7 @@ from .simulate import (
     euler_maruyama_run,  # noqa: F401  (looked up here by perfbench/layers.py)
     final_iterate,
 )
-from .stationary import NeighborPair
+from .stationary import NeighborPair, _gap_probes
 
 AGGREGATE_COLUMNS = ("alpha", "a", "d", "median", "q25", "q75", "n_diverged")
 
@@ -281,22 +274,12 @@ def empirical_stability_gap(
     two datasets; the returned gap is the signed difference at the probe
     with the largest absolute gap.
     """
-    regime = classify_regime(p, alpha)
-    if regime is StabilityRegime.UNSTABLE:
-        raise UnstableRegimeError(
-            f"p={p} >= alpha={alpha} with alpha < 2: the expected loss is infinite "
-            "and no finite stability gap exists"
-        )
+    probes = _gap_probes(pair, probe_points, p, alpha)
     if n_mc < 100:
         warnings.warn(
             f"n_mc={n_mc} is very small; the gap estimate will be dominated by noise",
             RuntimeWarning,
             stacklevel=2,
-        )
-    probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    if probes.shape[1] != pair.d:
-        raise ShapeError(
-            f"probe points of shape {probes.shape} do not match data dimension {pair.d}"
         )
     if sim.alpha != alpha:
         sim = dataclasses.replace(sim, alpha=alpha)

@@ -167,22 +167,19 @@ def empirical_char_fn(samples, u) -> complex:
 
 
 def sas_abs_moment(p: float, alpha: float, sigma: float = 1.0) -> float:
-    """E|X|^p for X symmetric alpha-stable with scale sigma, 0 < p < alpha.
+    """E|X|^p for X symmetric alpha-stable with scale sigma, 0 < p < alpha or alpha = 2.
 
     Closed form: sigma^p 2^p Gamma((p+1)/2) Gamma(1 - p/alpha)
-    / (Gamma(1 - p/2) sqrt(pi)); at alpha = 2 this is the absolute moment
-    of N(0, 2 sigma^2).
+    / (Gamma(1 - p/2) sqrt(pi)); at alpha = 2 the Gamma ratio is 1 and this
+    is the absolute moment of N(0, 2 sigma^2), finite for every p > 0.
     """
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    if not (0.0 < p < alpha):
-        raise ParameterError(f"the moment is finite only for 0 < p < alpha, got p={p}")
+    if not (0.0 < p and (p < alpha or alpha == 2.0)):
+        raise ParameterError(
+            f"the moment is finite only for 0 < p < alpha or alpha = 2, got p={p}, alpha={alpha}"
+        )
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    return (
-        sigma**p
-        * 2.0**p
-        * gamma_fn((p + 1.0) / 2.0)
-        * gamma_fn(1.0 - p / alpha)
-        / (gamma_fn(1.0 - p / 2.0) * math.sqrt(math.pi))
-    )
+    ratio = 1.0 if alpha == 2.0 else gamma_fn(1.0 - p / alpha) / gamma_fn(1.0 - p / 2.0)
+    return sigma**p * 2.0**p * gamma_fn((p + 1.0) / 2.0) * ratio / math.sqrt(math.pi)

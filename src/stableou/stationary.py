@@ -7,7 +7,8 @@ positive definite) under isotropic unit-scale noise is
 
 evaluated here by diagonalizing A once and applying adaptive
 Gauss-Legendre quadrature on a truncated horizon. The module also carries
-the closed-form neighbor-dataset bounds on |psi - psi_hat|.
+the closed-form neighbor-dataset bounds on |psi - psi_hat| and the exact
+stability gap that the two stationary laws give a neighbour pair.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import AccuracyError, DegenerateDataError, ParameterError, ShapeError
+from .bounds import StabilityRegime, classify_regime
+from .errors import (
+    AccuracyError,
+    DegenerateDataError,
+    ParameterError,
+    ShapeError,
+    UnstableRegimeError,
+)
+from .sampling import sas_abs_moment
 from .simulate import QuadraticProblem
 
 # Quadrature settings: the node count doubles from _INITIAL_NODES until two
@@ -36,22 +45,26 @@ _gauss_nodes = functools.cache(leggauss)
 class StationaryCharFn:
     """Evaluates psi(u) for fixed (A, alpha).
 
-    A must be strictly positive definite (the stationary law does not exist
-    otherwise); its eigendecomposition is computed once at construction.
+    A is the drift matrix or a QuadraticProblem; a problem's eigendecomposition
+    is reused, a matrix is symmetrized and decomposed once here. A must be
+    strictly positive definite (the stationary law does not exist otherwise).
     Immutable afterwards, so concurrent evaluation is safe.
     """
 
     def __init__(self, A, alpha: float):
-        A = np.asarray(A, dtype=float)
-        if A.ndim == 0:
-            A = A.reshape(1, 1)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ShapeError(f"A must be square, got shape {A.shape}")
+        if isinstance(A, QuadraticProblem):
+            A, lam, q = A.A, A.eigenvalues, A.eigenvectors
+        else:
+            A = np.asarray(A, dtype=float)
+            if A.ndim == 0:
+                A = A.reshape(1, 1)
+            if A.ndim != 2 or A.shape[0] != A.shape[1]:
+                raise ShapeError(f"A must be square, got shape {A.shape}")
+            # Symmetrize to absorb roundoff before the eigendecomposition.
+            A = (A + A.T) / 2.0
+            lam, q = np.linalg.eigh(A)
         if not (0.0 < alpha <= 2.0):
             raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-        # Symmetrize to absorb roundoff before the eigendecomposition.
-        A = (A + A.T) / 2.0
-        lam, q = np.linalg.eigh(A)
         if lam[0] <= 0.0:
             raise ParameterError(
                 f"A must be strictly positive definite; smallest eigenvalue is {lam[0]:.4g}"
@@ -222,6 +235,40 @@ def char_fn_diff_bound_dd(pair: NeighborPair, alpha: float, u) -> float:
 
 def char_fn_diff_exact(pair: NeighborPair, alpha: float, u) -> float:
     """|psi(u) - psi_hat(u)| by quadrature on both isotropically driven stationary laws."""
-    sc = StationaryCharFn(pair.problem.A, alpha)
-    sc_hat = StationaryCharFn(pair.problem_hat.A, alpha)
+    sc = StationaryCharFn(pair.problem, alpha)
+    sc_hat = StationaryCharFn(pair.problem_hat, alpha)
     return abs(sc.evaluate(u) - sc_hat.evaluate(u))
+
+
+def _gap_probes(pair: NeighborPair, probe_points, p: float, alpha: float) -> np.ndarray:
+    """The probe rows as a (k, d) array, once the loss |theta^T z|^p has a finite mean."""
+    if classify_regime(p, alpha) is StabilityRegime.UNSTABLE:
+        raise UnstableRegimeError(
+            f"p={p} >= alpha={alpha} with alpha < 2: the expected loss is infinite "
+            "and no finite stability gap exists"
+        )
+    probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
+    if probes.shape[1] != pair.d:
+        raise ShapeError(
+            f"probe points of shape {probes.shape} do not match data dimension {pair.d}"
+        )
+    return probes
+
+
+def exact_stability_gap(pair: NeighborPair, probe_points, p: float, alpha: float) -> float:
+    """max_z |E|theta^T z|^p - E|theta_hat^T z|^p| over the probe rows, exactly.
+
+    theta and theta_hat follow the two datasets' stationary laws. Under each,
+    theta^T z is symmetric alpha-stable with scale exponent(z)^(1/alpha), since
+    psi(t z) = exp(-|t|^alpha exponent(z)), so each moment is sas_abs_moment's
+    closed form. A zero probe contributes 0. One neighbour pair's gap is a
+    lower bound on the uniform stability constant, a sup over all pairs.
+    """
+    probes = _gap_probes(pair, probe_points, p, alpha)
+    laws = (StationaryCharFn(pair.problem, alpha), StationaryCharFn(pair.problem_hat, alpha))
+    moments = [
+        [sas_abs_moment(p, alpha, law.exponent(z) ** (1.0 / alpha)) for law in laws]
+        for z in probes
+        if np.any(z)
+    ]
+    return max((abs(m - m_hat) for m, m_hat in moments), default=0.0)

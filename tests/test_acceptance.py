@@ -32,6 +32,7 @@ from stableou import (
     empirical_char_fn,
     empirical_stability_gap,
     estimate_tail_index,
+    exact_stability_gap,
     gamma_fn,
     monotonicity_scan,
     read_run_records,
@@ -334,3 +335,50 @@ def test_11_sweep_replay_is_byte_identical(tmp_path):
     assert verdict(11, "sweep replay reproduces records byte-identically", ok,
                    f"manifest replay identical={identical}, "
                    f"independent per-record replay={per_record}")
+
+
+def test_12_exact_gap_tracks_the_upper_bound_in_alpha():
+    """Claim (iii): the lower bound matches the upper bound in the tail index.
+
+    Uniform stability is a sup over neighbour pairs, so one pair's exact gap
+    max_z |E|theta^T z|^p - E|theta_hat^T z|^p| under the two stationary laws
+    bounds it from below. Protocol, fixed before the first run: three 1-d
+    pairs differing in row 0 (x = 1 with x_hat_0 = 2 and R = 2 at n = 250;
+    x = 1 with x_hat_0 = 0.5 and R = 1 at n = 1000; x = linspace(0.5, 1.5)
+    with x_hat_0 = 3 and R = 3 at n = 400), R covering every |x| as the 1-d
+    bound assumes; sigma2 = max(mean x^2, mean x_hat^2); probe [[R]];
+    p in {1, 1.5} with 20 tail indices from p + (2 - p)/20 to 2. It passes
+    if upper_bound_1d dominates the exact gap everywhere and their ratio
+    varies by at most 5% (max/min) over alpha for each pair and p. There is
+    no Monte-Carlo leg: the gap is read off the stationary law.
+    """
+    t0 = time.time()
+    pairs = [
+        (np.ones(250), 2.0, 2.0),
+        (np.ones(1000), 0.5, 1.0),
+        (np.linspace(0.5, 1.5, 400), 3.0, 3.0),
+    ]
+    dominated = True
+    ratios, spreads = [], []
+    for X, x_hat0, R in pairs:
+        X_hat = X.copy()
+        X_hat[0] = x_hat0
+        pair = NeighborPair(X, X_hat)
+        sigma2 = max(float(np.mean(X**2)), float(np.mean(X_hat**2)))
+        for p in (1.0, 1.5):
+            row = []
+            for alpha in np.linspace(p + (2.0 - p) / 20.0, 2.0, 20):
+                upper = upper_bound_1d(
+                    BoundInputs(R=R, n=X.size, p=p, alpha=float(alpha), sigma2=sigma2)
+                )
+                exact = exact_stability_gap(pair, [[R]], p, float(alpha))
+                dominated &= upper >= exact
+                row.append(upper / exact)
+            ratios += row
+            spreads.append(max(row) / min(row))
+    elapsed = time.time() - t0
+    ok = dominated and max(spreads) <= 1.05
+    assert verdict(12, "exact gap tracks the upper bound in alpha", ok,
+                   f"upper/exact in [{min(ratios):.4f}, {max(ratios):.4f}], "
+                   f"worst max/min over alpha {max(spreads):.4f} (1.05 allowed), "
+                   f"dominated={dominated} ({elapsed:.1f}s)")

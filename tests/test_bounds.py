@@ -15,7 +15,6 @@ from stableou import (
     StabilityRegime,
     alpha_factor,
     classify_regime,
-    lower_bound_1d,
     monotonicity_scan,
     threshold_alpha0,
     upper_bound_1d,
@@ -337,41 +336,6 @@ def _log_slope(alpha, p, sigma_sq):
         + scipy.special.psi(1.0 - p / alpha)
     )
     return (p / alpha**2) * bracket
-
-
-class TestLowerBound1d:
-    def test_zero_gap_gives_zero(self):
-        b = BoundInputs(R=1.0, n=100, p=1.0, alpha=1.5)
-        assert lower_bound_1d(b, 0.0) == 0.0
-
-    def test_linear_in_the_gap(self):
-        b = BoundInputs(R=1.0, n=100, p=1.0, alpha=1.5)
-        one = lower_bound_1d(b, 0.1)
-        assert lower_bound_1d(b, 0.2) == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_ratio_to_upper_bound_is_constant_in_alpha(self):
-        # With the default squared-norm hint the alpha-dependent factors
-        # cancel exactly, leaving R^2 / delta.
-        R, delta = 1.3, 0.07
-        for alpha in (1.2, 1.5, 1.8, 2.0):
-            b = BoundInputs(R=R, n=250, p=1.0, alpha=alpha, sigma2=1.7)
-            upper = upper_bound_1d(b)
-            lower = lower_bound_1d(b, delta)
-            assert upper / lower == pytest.approx(R**2 / delta, rel=1e-10)
-
-    def test_unstable_orders_rejected(self):
-        b = BoundInputs(R=1.0, n=100, p=1.5, alpha=1.5)
-        with pytest.raises(ParameterError):
-            lower_bound_1d(b, 0.1)
-        with pytest.raises(ParameterError):
-            lower_bound_1d(BoundInputs(R=1.0, n=100, p=1.0, alpha=1.5), -0.1)
-
-    def test_explicit_hint_overrides_the_default(self):
-        b = BoundInputs(R=1.0, n=100, p=1.0, alpha=1.5, sigma2=2.0)
-        default = lower_bound_1d(b, 0.1)
-        hinted = lower_bound_1d(b, 0.1, a1_hint=2.0 * 100)
-        assert hinted == pytest.approx(default, rel=1e-12)
-        assert lower_bound_1d(b, 0.1, a1_hint=400.0) != default
 
 
 def test_upper_bounds_scale_with_probe_radius():

@@ -197,8 +197,9 @@ def test_empirical_char_fn_rejects_bad_input():
 
 
 def test_abs_moment_gaussian_reduction():
-    # At alpha = 2 the law is N(0, 2 sigma^2) with a classical |X|^p moment.
-    for p in (0.5, 1.0, 1.7):
+    # At alpha = 2 the law is N(0, 2 sigma^2) with a classical |X|^p moment,
+    # finite for orders p >= alpha too.
+    for p in (0.5, 1.0, 1.7, 2.0, 3.0):
         for sigma in (1.0, 2.5):
             target = (
                 (2.0 * sigma**2) ** (p / 2.0)

@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 
 from stableou import (
     AccuracyError,
+    BoundInputs,
     DegenerateDataError,
     NeighborPair,
     ParameterError,
     ShapeError,
     StationaryCharFn,
+    UnstableRegimeError,
     char_fn_diff_bound_1d,
     char_fn_diff_bound_dd,
     char_fn_diff_exact,
+    exact_stability_gap,
     rank2_eigenvalues,
+    sas_abs_moment,
+    upper_bound_dd,
 )
 from stableou.rng import RngStream
 
@@ -348,6 +353,119 @@ class TestDiffExact:
         b = StationaryCharFn(pair.X_hat.T @ pair.X_hat / pair.n, 1.5)
         manual = abs(a.evaluate(u) - b.evaluate(u))
         assert char_fn_diff_exact(pair, 1.5, u) == pytest.approx(manual, rel=1e-12)
+
+
+    def test_reuses_the_problems_eigendecomposition(self, monkeypatch):
+        gen = RngStream(67).generator
+        pair = make_pair_dd(gen)
+        u = gen.standard_normal(3)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        exact = char_fn_diff_exact(pair, 1.5, u)
+        assert calls == []
+        from_matrices = abs(
+            StationaryCharFn(pair.problem.A, 1.5).evaluate(u)
+            - StationaryCharFn(pair.problem_hat.A, 1.5).evaluate(u)
+        )
+        assert len(calls) == 2
+        assert repr(exact) == repr(from_matrices)
+
+    def test_zero_data_column_is_rejected(self):
+        gen = RngStream(68).generator
+        X = gen.standard_normal((50, 3))
+        X[:, 1] = 0.0
+        X_hat = X.copy()
+        X_hat[0, [0, 2]] = gen.standard_normal(2)
+        with pytest.raises(ParameterError):
+            char_fn_diff_exact(NeighborPair(X, X_hat), 1.5, np.ones(3))
+
+
+def gaussian_abs_moment(A, z, p):
+    # E|N(0, z^T A^-1 z)|^p, the alpha = 2 stationary projection, by a linear solve.
+    v = float(z @ np.linalg.solve(A, z))
+    return v ** (p / 2.0) * 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+
+
+class TestExactStabilityGap:
+    @pytest.mark.parametrize("p, alpha", [(1.0, 1.2), (1.0, 1.7), (1.5, 1.8), (1.3, 2.0)])
+    def test_one_dimensional_closed_form(self, p, alpha):
+        # psi(u) = exp(-|u|^alpha / (alpha A)), so theta is SaS with scale (alpha A)^(-1/alpha).
+        gen = RngStream(70).generator
+        pair = make_pair_1d(gen)
+        R = 1.7
+        a, a_hat = pair.problem.A[0, 0], pair.problem_hat.A[0, 0]
+        want = R**p * abs(
+            sas_abs_moment(p, alpha, (alpha * a) ** (-1.0 / alpha))
+            - sas_abs_moment(p, alpha, (alpha * a_hat) ** (-1.0 / alpha))
+        )
+        assert exact_stability_gap(pair, [[R]], p, alpha) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_gaussian_closed_form(self, p):
+        gen = RngStream(71).generator
+        pair = make_pair_dd(gen)
+        probes = gen.standard_normal((4, 3))
+        A, A_hat = pair.problem.A, pair.problem_hat.A
+        want = max(
+            abs(gaussian_abs_moment(A, z, p) - gaussian_abs_moment(A_hat, z, p)) for z in probes
+        )
+        assert exact_stability_gap(pair, probes, p, 2.0) == pytest.approx(want, rel=1e-7)
+
+    def test_symmetric_in_the_two_datasets(self):
+        gen = RngStream(72).generator
+        pair = make_pair_dd(gen)
+        probes = gen.standard_normal((3, 3))
+        swapped = NeighborPair(pair.X_hat, pair.X)
+        assert exact_stability_gap(pair, probes, 1.0, 1.6) == exact_stability_gap(
+            swapped, probes, 1.0, 1.6
+        )
+
+    def test_zero_probe_contributes_nothing(self):
+        gen = RngStream(73).generator
+        pair = make_pair_dd(gen)
+        z = gen.standard_normal(3)
+        assert exact_stability_gap(pair, np.zeros((1, 3)), 1.0, 1.5) == 0.0
+        assert exact_stability_gap(pair, [np.zeros(3), z], 1.0, 1.5) == exact_stability_gap(
+            pair, [z], 1.0, 1.5
+        )
+
+    def test_unstable_orders_and_bad_probes_rejected(self):
+        pair = make_pair_dd(RngStream(74).generator)
+        with pytest.raises(UnstableRegimeError):
+            exact_stability_gap(pair, np.ones((1, 3)), 1.5, 1.5)
+        with pytest.raises(UnstableRegimeError):
+            exact_stability_gap(pair, np.ones((1, 3)), 2.0, 1.9)
+        with pytest.raises(ShapeError):
+            exact_stability_gap(pair, np.ones((1, 2)), 1.0, 1.5)
+
+    def test_below_the_dd_bound_on_the_acceptance_instances(self):
+        # The 20 pairs and probes of acceptance check 10, drawn the same way,
+        # with the exact gap in place of the Monte-Carlo estimate and its stderr.
+        ratios = []
+        for k in range(20):
+            gen = RngStream(700 + k).generator
+            d = 2 + k % 4
+            n = int(gen.integers(100, 301))
+            alpha = 1.5 if k % 2 == 0 else 1.8
+            X = gen.normal(0.0, 1.0, (n, d))
+            X_hat = X.copy()
+            X_hat[0] = gen.normal(0.0, 1.0, d)
+            pair = NeighborPair(X, X_hat)
+            extra = gen.normal(size=(3, d))
+            extra /= np.linalg.norm(extra, axis=1)[:, None]
+            probes = np.vstack([np.eye(d), extra])
+            sigma = float(max(np.max(np.sum(X**2, axis=1)), np.max(np.sum(X_hat**2, axis=1))))
+            bound = upper_bound_dd(
+                BoundInputs(R=1.0, n=n, p=1.0, alpha=alpha, sigma=sigma, sigma_min=pair.sigma_min)
+            )
+            ratios.append(exact_stability_gap(pair, probes, 1.0, alpha) / bound)
+        assert 0.0 < max(ratios) <= 1.0
 
 
 @given(
