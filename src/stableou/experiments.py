@@ -33,6 +33,8 @@ from .simulate import (
 from .stationary import NeighborPair, _gap_probes
 
 AGGREGATE_COLUMNS = ("alpha", "a", "d", "median", "q25", "q75", "n_diverged")
+# Rows of the fixed-shape product that scores every risk (see surrogate_risk).
+_RISK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -131,22 +133,39 @@ def generate_population(a: float, d: int, N: int, stream: RngStream) -> np.ndarr
     return stream.generator.uniform(-a / 2.0, a / 2.0, size=(N, d))
 
 
-def surrogate_risk(theta, data, p: float) -> float:
-    """(1/m) sum |theta^T x_i|^p over the rows of data."""
+def surrogate_risk(theta, data, p: float):
+    """(1/m) sum |theta^T x_i|^p over the m rows of data, for one theta or a (k, d) stack.
+
+    Every risk is one row of the same fixed-shape (_RISK_ROWS, d) @ (d, m)
+    product, its theta written into a zeroed block, so a theta's risk has
+    the same bits at any row and whatever the other rows hold. One theta
+    gives a float, a stack an array of k risks.
+    """
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2], got {p}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    thetas = np.atleast_2d(theta)
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    if data.ndim != 2 or data.shape[1] != theta.shape[0]:
-        raise ShapeError(
-            f"data of shape {data.shape} does not match theta of dimension {theta.shape[0]}"
-        )
+    if thetas.ndim != 2 or data.ndim != 2 or data.shape[1] != thetas.shape[1]:
+        raise ShapeError(f"data of shape {data.shape} does not match theta of shape {theta.shape}")
     if data.shape[0] == 0:
         raise ShapeError("data must contain at least one row")
-    with np.errstate(over="ignore"):
-        return float(np.mean(np.abs(data @ theta) ** p))
+    block = np.empty((_RISK_ROWS, thetas.shape[1]))
+    scores = np.empty((_RISK_ROWS, data.shape[0]))
+    risks = np.empty(thetas.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, thetas.shape[0], _RISK_ROWS):
+            rows = thetas[start : start + _RISK_ROWS]
+            block.fill(0.0)
+            block[: len(rows)] = rows
+            np.matmul(block, data.T, out=scores)
+            used = scores[: len(rows)]
+            np.abs(used, out=used)
+            np.power(used, p, out=used)
+            risks[start : start + len(rows)] = used.mean(axis=1)
+    return float(risks[0]) if theta.ndim == 1 else risks
 
 
 def generalization_error(theta, train, population, p: float) -> float:
@@ -155,22 +174,34 @@ def generalization_error(theta, train, population, p: float) -> float:
         return abs(surrogate_risk(theta, train, p) - surrogate_risk(theta, population, p))
 
 
-def _run_replication(
-    cfg: SweepConfig, population: np.ndarray, alpha: float, a: float, replication: int, seed: int
-) -> RunRecord:
-    d = population.shape[1]
-    stream = RngStream(seed)
-    idx = stream.fork(0).generator.integers(0, population.shape[0], size=cfg.n)
-    train = population[idx]
-    problem = QuadraticProblem(train)
-    sim = SimConfig(eta=cfg.eta, steps=cfg.steps, alpha=alpha, noise_scale=cfg.noise_scale)
-    theta, diverged = final_iterate(problem, sim, stream.fork(1))
-    if diverged:
-        gen = float("nan")
-    else:
-        gen = generalization_error(theta, train, population, cfg.p)
-        diverged = not math.isfinite(gen)
-    return RunRecord(replication, alpha, a, d, cfg.n, cfg.p, seed, gen, diverged)
+def _grid_point_records(cfg: SweepConfig, di: int, ai: int, jobs) -> list[RunRecord]:
+    """The records of (alpha, replication, seed) jobs at grid point (d_grid[di], a_grid[ai]).
+
+    Every job's final iterate and train risk come first; one surrogate_risk
+    call then scores all of them on the population, a diverged iterate as
+    a zero row. The population is this call's alone, so it is freed on return.
+    """
+    d, a = cfg.d_grid[di], cfg.a_grid[ai]
+    pop_stream = RngStream(_derive_seed(cfg.master_seed, (di, ai)))
+    population = generate_population(a, d, cfg.population_size, pop_stream)
+    thetas = np.zeros((len(jobs), d))
+    # A diverged job keeps a NaN train risk, so its gen_error is NaN.
+    train_risks = np.full(len(jobs), np.nan)
+    for j, (alpha, _, seed) in enumerate(jobs):
+        stream = RngStream(seed)
+        idx = stream.fork(0).generator.integers(0, cfg.population_size, size=cfg.n)
+        train = population[idx]
+        sim = SimConfig(eta=cfg.eta, steps=cfg.steps, alpha=alpha, noise_scale=cfg.noise_scale)
+        theta, diverged = final_iterate(QuadraticProblem(train), sim, stream.fork(1))
+        if not diverged:
+            thetas[j] = theta
+            train_risks[j] = surrogate_risk(theta, train, cfg.p)
+    with np.errstate(invalid="ignore"):
+        gens = np.abs(train_risks - surrogate_risk(thetas, population, cfg.p))
+    return [
+        RunRecord(r, alpha, a, d, cfg.n, cfg.p, seed, gen, not math.isfinite(gen))
+        for (alpha, r, seed), gen in zip(jobs, gens)
+    ]
 
 
 def run_synthetic_sweep(cfg: SweepConfig) -> list[RunRecord]:
@@ -178,17 +209,17 @@ def run_synthetic_sweep(cfg: SweepConfig) -> list[RunRecord]:
 
     Every record's randomness derives from its own stored seed (population
     draws are keyed by the grid point), so any execution schedule produces
-    the identical record set.
+    the identical record set. One population is alive at a time.
     """
     records = []
-    for di, d in enumerate(cfg.d_grid):
-        for ai, a in enumerate(cfg.a_grid):
-            pop_stream = RngStream(_derive_seed(cfg.master_seed, (di, ai)))
-            population = generate_population(a, d, cfg.population_size, pop_stream)
-            for ki, alpha in enumerate(cfg.alpha_grid):
-                for r in range(cfg.replications):
-                    seed = _derive_seed(cfg.master_seed, (di, ai, ki, r))
-                    records.append(_run_replication(cfg, population, alpha, a, r, seed))
+    for di in range(len(cfg.d_grid)):
+        for ai in range(len(cfg.a_grid)):
+            jobs = [
+                (alpha, r, _derive_seed(cfg.master_seed, (di, ai, ki, r)))
+                for ki, alpha in enumerate(cfg.alpha_grid)
+                for r in range(cfg.replications)
+            ]
+            records += _grid_point_records(cfg, di, ai, jobs)
     return records
 
 
@@ -196,9 +227,7 @@ def replay_record(cfg: SweepConfig, record: RunRecord) -> RunRecord:
     """Recompute a record from its stored seed; must match the original bit-exactly."""
     di = cfg.d_grid.index(record.d)
     ai = cfg.a_grid.index(record.a)
-    pop_stream = RngStream(_derive_seed(cfg.master_seed, (di, ai)))
-    population = generate_population(record.a, record.d, cfg.population_size, pop_stream)
-    return _run_replication(cfg, population, record.alpha, record.a, record.replication, record.seed)
+    return _grid_point_records(cfg, di, ai, [(record.alpha, record.replication, record.seed)])[0]
 
 
 @dataclass(frozen=True, eq=False)

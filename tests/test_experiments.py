@@ -1,4 +1,6 @@
 import math
+import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -108,6 +110,8 @@ class TestPopulationAndRisk:
             surrogate_risk(np.ones(3), np.ones((3, 2)), 1.0)
         with pytest.raises(ShapeError):
             surrogate_risk(np.ones(2), np.empty((0, 2)), 1.0)
+        with pytest.raises(ShapeError):
+            surrogate_risk(np.ones((2, 2, 2)), np.ones((3, 2)), 1.0)
 
     def test_generalization_error_is_absolute_difference(self):
         train = np.array([[1.0], [2.0]])
@@ -119,6 +123,51 @@ class TestPopulationAndRisk:
     def test_non_finite_iterates_propagate_to_nan(self):
         out = generalization_error(np.array([np.inf]), np.ones((2, 1)), np.ones((2, 1)), 1.0)
         assert math.isnan(out)
+
+
+@pytest.fixture(scope="module")
+def population_and_thetas():
+    # The sweep's population size and dimension, with 32 iterates at its scale.
+    rng = np.random.default_rng(12)
+    data = rng.uniform(-4.0, 4.0, size=(100_000, 100))
+    return data, 0.05 * rng.standard_normal((32, 100))
+
+
+class TestBlockRisk:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_each_row_is_bit_identical_to_the_theta_alone(self, population_and_thetas, p):
+        data, thetas = population_and_thetas
+        block = surrogate_risk(thetas, data, p)
+        assert block.shape == (32,)
+        assert all(block[i] == surrogate_risk(thetas[i], data, p) for i in range(32))
+
+    def test_nonfinite_rows_leave_the_other_rows_bits_alone(self, population_and_thetas):
+        data, thetas = population_and_thetas
+        clean = surrogate_risk(thetas, data, 1.5)
+        dirty = thetas.copy()
+        dirty[5, 3] = np.inf
+        dirty[17, 0] = np.nan
+        out = surrogate_risk(dirty, data, 1.5)
+        assert out[5] == np.inf and math.isnan(out[17])
+        keep = np.ones(32, dtype=bool)
+        keep[[5, 17]] = False
+        assert np.array_equal(out[keep], clean[keep])
+
+    def test_matches_an_fsum_oracle(self, population_and_thetas):
+        data, thetas = population_and_thetas
+        theta = thetas[31].tolist()
+        dots = [abs(math.fsum(map(operator.mul, row.tolist(), theta))) for row in data]
+        for p in (1.0, 1.5, 2.0):
+            want = math.fsum(v**p for v in dots) / len(dots)
+            assert surrogate_risk(thetas[31], data, p) == pytest.approx(want, rel=1e-13)
+
+    def test_more_rows_than_the_block_are_scored_in_blocks(self):
+        rng = np.random.default_rng(3)
+        data = rng.uniform(-1.0, 1.0, size=(500, 4))
+        thetas = rng.standard_normal((70, 4))
+        block = surrogate_risk(thetas, data, 1.0)
+        assert block.shape == (70,)
+        assert all(block[i] == surrogate_risk(thetas[i], data, 1.0) for i in range(70))
 
 
 class TestSyntheticSweep:
@@ -164,6 +213,20 @@ class TestSyntheticSweep:
         assert not any(r.diverged for r in records)
         for r in records:
             assert replay_record(cfg, r) == r
+
+    def test_one_population_is_alive_at_a_time(self, monkeypatch):
+        draw = experiments.generate_population
+        refs = []
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in refs), "the previous population is still alive"
+            population = draw(*args, **kwargs)
+            refs.append(weakref.ref(population))
+            return population
+
+        monkeypatch.setattr(experiments, "generate_population", tracked)
+        run_synthetic_sweep(SweepConfig(**{**TINY_SWEEP, "a_grid": (1.0, 2.0, 3.0)}))
+        assert len(refs) == 3
 
     def test_replication_seeds_are_distinct(self):
         cfg = SweepConfig(**TINY_SWEEP)
