@@ -76,7 +76,6 @@ from .stationary import (
     char_fn_diff_bound_dd,
     char_fn_diff_exact,
     exact_stability_gap,
-    rank2_eigenvalues,
 )
 from .tail import (
     TailEstimate,
@@ -128,7 +127,6 @@ __all__ = [
     "generate_population",
     "median_center",
     "monotonicity_scan",
-    "rank2_eigenvalues",
     "read_run_records",
     "replay_record",
     "run_synthetic_sweep",

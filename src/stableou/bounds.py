@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -137,6 +137,14 @@ def alpha_factor(alpha: float, p: float, sigma_sq: float) -> float:
     )
 
 
+def _reject_unread(b: BoundInputs, unread: tuple[str, ...], what: str) -> None:
+    """Raise if a field the bound does not read is set away from its default."""
+    changed = [f"{f.name}={getattr(b, f.name)}" for f in fields(b)
+               if f.name in unread and getattr(b, f.name) != f.default]
+    if changed:
+        raise ParameterError(f"{what} does not read {', '.join(unread)}; got {', '.join(changed)}")
+
+
 def upper_bound_1d(b: BoundInputs) -> float | StabilityRegime:
     """Stability upper bound for the scalar loss |theta x|^p.
 
@@ -146,14 +154,12 @@ def upper_bound_1d(b: BoundInputs) -> float | StabilityRegime:
         c(alpha) = (2 R^(p+2) / (pi sigma2 n)) Gamma(p+1) cos((p-1)pi/2)
                    alpha_factor(alpha, p, sigma2).
 
-    The scalar bound has no preconditioned form, so a noise spectrum other
-    than lambda_min = lambda_max = 1 is rejected.
+    The scalar bound reads neither the d-dimensional sigma, sigma_min nor,
+    having no preconditioned form, the noise spectrum; any of them set away
+    from its default is rejected.
     """
-    if (b.lambda_min, b.lambda_max) != (1.0, 1.0):
-        raise ParameterError(
-            f"the 1-d bound has no preconditioned form; got lambda_min={b.lambda_min}, "
-            f"lambda_max={b.lambda_max} (both must be 1)"
-        )
+    _reject_unread(b, ("sigma", "sigma_min", "lambda_min", "lambda_max"),
+                   "the 1-d bound has no preconditioned form and")
     regime = classify_regime(b.p, b.alpha)
     if regime is StabilityRegime.UNSTABLE:
         return regime
@@ -170,8 +176,10 @@ def upper_bound_dd(b: BoundInputs) -> float | StabilityRegime:
     The noise preconditioner's spectrum multiplies the surrogate bound by
     lambda_min^p (lambda_max/lambda_min)^alpha and the squared-loss bound by
     lambda_max^2; both factors are exactly 1 at the isotropic default
-    lambda_min = lambda_max = 1.
+    lambda_min = lambda_max = 1. The bound does not read the 1-d sigma2, so
+    a sigma2 set away from its default is rejected.
     """
+    _reject_unread(b, ("sigma2",), "the d-dimensional bound")
     regime = classify_regime(b.p, b.alpha)
     if regime is StabilityRegime.UNSTABLE:
         return regime

@@ -21,10 +21,6 @@ from .errors import ParameterError, ShapeError
 from .rng import RngStream
 from .special import gamma_fn
 
-# Below this distance from alpha=1 the generic CMS formula loses precision
-# to the removable singularity, so the exact alpha=1 branch is used.
-_ALPHA_ONE_WINDOW = 1e-8
-
 
 @dataclass(frozen=True)
 class StableParams:
@@ -76,16 +72,15 @@ def sample_sas_scalar(params: StableParams, stream: RngStream, size: int):
     if alpha == 2.0:
         x = sigma * np.sqrt(2.0) * gen.standard_normal(n)
     else:
+        # The symmetric CMS transform has no singularity at alpha = 1, where
+        # it reduces to sigma tan(u).
         u = _uniform_angles(gen, n)
-        if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
-            x = sigma * np.tan(u)
-        else:
-            w = _positive_exponentials(gen, n)
-            x = sigma * (
-                np.sin(alpha * u)
-                / np.cos(u) ** (1.0 / alpha)
-                * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-            )
+        w = _positive_exponentials(gen, n)
+        x = sigma * (
+            np.sin(alpha * u)
+            / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+        )
     return x
 
 

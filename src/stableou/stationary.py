@@ -120,50 +120,16 @@ class StationaryCharFn:
         return math.exp(-self.exponent(u))
 
 
-def rank2_eigenvalues(x, x_tilde) -> tuple[float, float]:
-    """Eigenvalues of x x^T - xt xt^T, ordered sigma1 >= sigma2.
-
-    The matrix has rank at most two, so the eigenproblem is solved in the
-    closed form of the 2-d span of {x, xt}. The determinant of the 2x2
-    restriction is -b^2 ||x||^2 <= 0, which forces sigma1 >= 0 >= sigma2.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    xt = np.asarray(x_tilde, dtype=float).reshape(-1)
-    if x.shape != xt.shape:
-        raise ShapeError(f"vectors have mismatched lengths {x.shape[0]} and {xt.shape[0]}")
-    if np.array_equal(x, xt):
-        return 0.0, 0.0
-    nx2 = float(x @ x)
-    nt2 = float(xt @ xt)
-    if nx2 == 0.0 and nt2 == 0.0:
-        return 0.0, 0.0
-    if nx2 == 0.0:
-        return 0.0, -nt2
-    if nt2 == 0.0:
-        return nx2, 0.0
-
-    nx = math.sqrt(nx2)
-    e1 = x / nx
-    a = float(e1 @ xt)
-    resid = xt - a * e1
-    b2 = float(resid @ resid)
-    if b2 <= (1e-30) * nt2:
-        # Collinear rows: a single eigenvalue ||x||^2 - a^2 plus zero.
-        v = nx2 - a * a
-        return (v, 0.0) if v >= 0.0 else (0.0, v)
-    trace = nx2 - a * a - b2
-    det = -b2 * nx2
-    disc = math.sqrt(trace * trace - 4.0 * det)
-    return (trace + disc) / 2.0, (trace - disc) / 2.0
-
-
 class NeighborPair:
     """Two datasets differing in at most one row, plus the derived bound inputs.
 
     problem and problem_hat are the two datasets' QuadraticProblems, built
-    once. sigma1 >= 0 >= sigma2 are the eigenvalues of x_i x_i^T - xt_i xt_i^T
-    for the differing row i, and sigma_min is the smaller of the two Gram
-    matrices' smallest eigenvalues.
+    once, and sigma_min is the smaller of their Gram matrices' smallest
+    eigenvalues. The bounds see the differing row i only through
+    x_i x_i^T - xt_i xt_i^T = (u v^T + v u^T) / 2, with u = x_i - xt_i and
+    v = x_i + xt_i. Its eigenvalues are (u.v +- ||u|| ||v||) / 2, so the sum
+    of their absolute values is perturbation = ||u|| ||v|| exactly, which is
+    |x_i^2 - xt_i^2| in one dimension, computed without squaring either row.
     """
 
     def __init__(self, X, X_hat):
@@ -185,7 +151,8 @@ class NeighborPair:
         self.index = int(differing[0]) if differing.size == 1 else 0
         self.x_row = X[self.index]
         self.x_tilde_row = X_hat[self.index]
-        self.sigma1, self.sigma2 = rank2_eigenvalues(self.x_row, self.x_tilde_row)
+        x, xt = self.x_row, self.x_tilde_row
+        self.perturbation = float(np.linalg.norm(x - xt) * np.linalg.norm(x + xt))
         self.sigma_min = min(self.problem.lambda_min, self.problem_hat.lambda_min)
 
 
@@ -205,18 +172,16 @@ def char_fn_diff_bound_1d(pair: NeighborPair, alpha: float, u: float) -> float:
     norm_hat_sq = float(np.sum(pair.X_hat**2))
     if norm_sq == 0.0 or norm_hat_sq == 0.0:
         raise DegenerateDataError("a dataset with zero norm has no stationary law")
-    delta = abs(float(pair.x_row[0] ** 2 - pair.x_tilde_row[0] ** 2))
     ua = abs(float(u)) ** alpha
-    prefactor = ua * pair.n * delta / (alpha * norm_sq * norm_hat_sq)
+    prefactor = ua * pair.n * pair.perturbation / (alpha * norm_sq * norm_hat_sq)
     return prefactor * math.exp(-ua * pair.n / (alpha * max(norm_sq, norm_hat_sq)))
 
 
 def char_fn_diff_bound_dd(pair: NeighborPair, alpha: float, u) -> float:
     """Closed-form bound on |psi(u) - psi_hat(u)| in d dimensions.
 
-    Uses the (|sigma1| + |sigma2|) convention for the rank-2 perturbation
-    term, since the second eigenvalue is nonpositive whenever the rows
-    differ. The driving noise is isotropic with unit scale.
+    The rank-2 perturbation term is the sum of its eigenvalues' absolute
+    values, pair.perturbation. The driving noise is isotropic with unit scale.
     """
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
@@ -228,8 +193,7 @@ def char_fn_diff_bound_dd(pair: NeighborPair, alpha: float, u) -> float:
     if uvec.shape != (pair.d,):
         raise ShapeError(f"u has shape {uvec.shape}, expected ({pair.d},)")
     ua = float(np.linalg.norm(uvec)) ** alpha
-    perturbation = abs(pair.sigma1) + abs(pair.sigma2)
-    prefactor = 2.0 * perturbation * ua / (pair.n * alpha * pair.sigma_min)
+    prefactor = 2.0 * pair.perturbation * ua / (pair.n * alpha * pair.sigma_min)
     return prefactor * math.exp(-ua / (alpha * pair.sigma_min))
 
 

@@ -125,8 +125,24 @@ class TestUpperBound1d:
         with pytest.raises(ParameterError, match="no preconditioned form"):
             upper_bound_1d(b)
 
+    @pytest.mark.parametrize(
+        "unread", [{"sigma": 7.0}, {"sigma_min": 5.0}, {"sigma": 7.0, "sigma_min": 5.0}]
+    )
+    def test_rejects_the_dd_inputs_it_does_not_read(self, unread):
+        b = BoundInputs(R=1.0, n=1000, p=1.0, alpha=1.5, **unread)
+        with pytest.raises(ParameterError, match="does not read") as info:
+            upper_bound_1d(b)
+        for name, value in unread.items():
+            assert f"{name}={value}" in str(info.value)
+
 
 class TestUpperBoundDd:
+    @pytest.mark.parametrize("sigma2", [9.0, 0.5])
+    def test_rejects_the_1d_sigma2_it_does_not_read(self, sigma2):
+        b = BoundInputs(R=1.0, n=1000, p=1.0, alpha=1.5, sigma2=sigma2)
+        with pytest.raises(ParameterError, match=f"does not read sigma2; got sigma2={sigma2}"):
+            upper_bound_dd(b)
+
     def test_frozen_oracle_values(self):
         b = BoundInputs(R=1.0, n=1000, p=1.0, alpha=1.5, sigma=1.0, sigma_min=1.0)
         assert upper_bound_dd(b) == pytest.approx(3.470702845479248e-3, rel=1e-12)

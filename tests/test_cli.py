@@ -214,6 +214,21 @@ class TestBounds:
         assert err["error"] == "ParameterError"
         assert "no preconditioned form" in err["message"]
 
+    @pytest.mark.parametrize("dimension, unread", [
+        ("1d", ["--sigma", "7", "--sigma-min", "5"]),
+        ("dd", ["--sigma2", "9"]),
+    ])
+    def test_inputs_the_bound_does_not_read_are_rejected(self, tmp_path, capsys,
+                                                         dimension, unread):
+        out = tmp_path / "out"
+        code = run_cli(["bounds", "--dimension", dimension, "--p", "1", "--alpha", "1.5",
+                        *unread, "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "does not read" in err["message"]
+        assert not (out / "bounds.json").exists()
+
     def test_config_with_the_removed_switch_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"dimension": "dd", "general_sigma": True})
         assert run_cli(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

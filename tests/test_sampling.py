@@ -20,6 +20,7 @@ from stableou import (
     sample_skewed_positive_stable,
     sas_abs_moment,
 )
+from stableou.sampling import _uniform_angles
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.3, 2.0001, 3.0])
@@ -75,13 +76,20 @@ def test_char_fn_at_unit_frequency():
     assert abs(value - math.exp(-1.0)) < 0.01
 
 
-def test_near_one_branch_is_continuous():
-    # The generic formula has a removable singularity at alpha = 1; draws on
-    # either side of the switch must stay close in distribution.
+def test_draws_are_continuous_across_alpha_one():
+    # One formula serves every alpha < 2; draws on either side of alpha = 1
+    # must stay close in distribution.
     lo = sample_sas_scalar(StableParams(1.0 - 5e-9, 1.0), RngStream(6), size=50000)
     hi = sample_sas_scalar(StableParams(1.0 + 2e-7, 1.0), RngStream(6), size=50000)
     stat = scipy.stats.ks_2samp(lo, hi).statistic
     assert stat < 0.02
+
+
+def test_alpha_one_draws_are_the_cauchy_tangent():
+    # At alpha = 1 the CMS transform reduces to sigma tan(U), U the angle draws.
+    x = sample_sas_scalar(StableParams(1.0, 2.5), RngStream(6), size=100000)
+    u = _uniform_angles(RngStream(6).generator, 100000)
+    np.testing.assert_allclose(x, 2.5 * np.tan(u), rtol=1e-15, atol=0.0)
 
 
 @given(

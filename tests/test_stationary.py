@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stableou import (
@@ -20,7 +21,6 @@ from stableou import (
     char_fn_diff_bound_dd,
     char_fn_diff_exact,
     exact_stability_gap,
-    rank2_eigenvalues,
     sas_abs_moment,
     upper_bound_dd,
 )
@@ -147,59 +147,6 @@ def test_non_convergence_raises_with_estimate(monkeypatch):
     assert info.value.estimate == pytest.approx(target, rel=1e-3)
 
 
-class TestRank2Eigenvalues:
-    def test_identical_rows(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert rank2_eigenvalues(x, x) == (0.0, 0.0)
-
-    def test_orthonormal_rows(self):
-        e1, e2 = np.eye(2)
-        s1, s2 = rank2_eigenvalues(e1, e2)
-        assert s1 == pytest.approx(1.0, abs=1e-12)
-        assert s2 == pytest.approx(-1.0, abs=1e-12)
-
-    def test_zero_vectors(self):
-        z = np.zeros(3)
-        assert rank2_eigenvalues(z, z) == (0.0, 0.0)
-        s1, s2 = rank2_eigenvalues(np.array([2.0, 0.0, 0.0]), z)
-        assert (s1, s2) == (4.0, 0.0)
-        s1, s2 = rank2_eigenvalues(z, np.array([0.0, 3.0, 0.0]))
-        assert (s1, s2) == (0.0, -9.0)
-
-    def test_matches_dense_eigensolver(self):
-        gen = RngStream(57).generator
-        for _ in range(25):
-            x = gen.standard_normal(10)
-            xt = gen.standard_normal(10)
-            m = np.outer(x, x) - np.outer(xt, xt)
-            dense = np.linalg.eigvalsh(m)
-            s1, s2 = rank2_eigenvalues(x, xt)
-            assert s1 == pytest.approx(dense[-1], abs=1e-10 * max(1.0, abs(dense[-1])))
-            assert s2 == pytest.approx(dense[0], abs=1e-10 * max(1.0, abs(dense[0])))
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=80, deadline=None)
-    def test_sign_split_property(self, seed):
-        gen = RngStream(seed).generator
-        d = int(gen.integers(1, 7))
-        x = gen.standard_normal(d) * gen.uniform(0.1, 4.0)
-        xt = gen.standard_normal(d) * gen.uniform(0.1, 4.0)
-        s1, s2 = rank2_eigenvalues(x, xt)
-        assert s1 >= -1e-12
-        assert s2 <= 1e-12
-        # Trace and Frobenius norm of the rank-2 difference pin both values.
-        assert s1 + s2 == pytest.approx(x @ x - xt @ xt, rel=1e-9, abs=1e-9)
-        frob = np.linalg.norm(np.outer(x, x) - np.outer(xt, xt), "fro") ** 2
-        assert s1**2 + s2**2 == pytest.approx(frob, rel=1e-9, abs=1e-9)
-
-    def test_collinear_rows(self):
-        x = np.array([1.0, 1.0])
-        s1, s2 = rank2_eigenvalues(2.0 * x, x)
-        dense = np.linalg.eigvalsh(np.outer(2 * x, 2 * x) - np.outer(x, x))
-        assert s1 == pytest.approx(dense[-1], rel=1e-12)
-        assert abs(s2) < 1e-12
-
-
 class TestNeighborPair:
     def test_basic_construction(self):
         gen = RngStream(58).generator
@@ -211,7 +158,7 @@ class TestNeighborPair:
         assert pair.n == 12 and pair.d == 3
         np.testing.assert_array_equal(pair.x_row, X[4])
         np.testing.assert_array_equal(pair.x_tilde_row, X_hat[4])
-        assert pair.sigma1 >= 0.0 >= pair.sigma2
+        assert pair.perturbation > 0.0
         gram_min = min(
             np.linalg.eigvalsh(X.T @ X / 12.0)[0],
             np.linalg.eigvalsh(X_hat.T @ X_hat / 12.0)[0],
@@ -234,7 +181,60 @@ class TestNeighborPair:
     def test_identical_datasets_allowed(self):
         X = np.ones((4, 2))
         pair = NeighborPair(X, X)
-        assert pair.sigma1 == 0.0 and pair.sigma2 == 0.0
+        assert pair.perturbation == 0.0
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_perturbation_matches_dense_eigensolver(self, d):
+        gen = RngStream(57 + d).generator
+        for _ in range(10):
+            X = gen.standard_normal((d + 2, d))
+            X_hat = X.copy()
+            X_hat[1] = gen.standard_normal(d)
+            pair = NeighborPair(X, X_hat)
+            m = np.outer(X[1], X[1]) - np.outer(X_hat[1], X_hat[1])
+            dense = np.abs(np.linalg.eigvalsh(m)).sum()
+            assert pair.perturbation == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_perturbation_of_nearby_rows_matches_mpmath(self, seed, d):
+        # Rows 1e-8 apart: squaring them first cancels about 8 digits.
+        gen = RngStream(300 + seed).generator
+        X = gen.standard_normal((6, d))
+        X_hat = X.copy()
+        X_hat[3] = X[3] + 1e-8 * gen.standard_normal(d)
+        pair = NeighborPair(X, X_hat)
+        with mpmath.workdps(50):
+            x = mpmath.matrix([mpmath.mpf(float(v)) for v in X[3]])
+            xt = mpmath.matrix([mpmath.mpf(float(v)) for v in X_hat[3]])
+            eigenvalues, _ = mpmath.eigsy(x * x.T - xt * xt.T)
+            reference = float(sum(abs(e) for e in eigenvalues))
+        assert abs(pair.perturbation - reference) <= 1e-15 * reference
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_perturbation_squared_is_a_frobenius_identity(self, seed):
+        # The two eigenvalues have opposite signs, so (|s1| + |s2|)^2 =
+        # 2 (s1^2 + s2^2) - (s1 + s2)^2 = 2 ||M||_F^2 - (tr M)^2.
+        gen = RngStream(seed).generator
+        d = int(gen.integers(1, 7))
+        X = gen.standard_normal((d + 1, d))
+        X_hat = X.copy()
+        X_hat[0] = gen.standard_normal(d) * gen.uniform(0.1, 4.0)
+        pair = NeighborPair(X, X_hat)
+        m = np.outer(X[0], X[0]) - np.outer(X_hat[0], X_hat[0])
+        scale = (X[0] @ X[0] + X_hat[0] @ X_hat[0]) ** 2
+        expected = 2.0 * np.sum(m * m) - np.trace(m) ** 2
+        assert pair.perturbation**2 == pytest.approx(expected, rel=1e-12, abs=1e-13 * scale)
+
+    def test_perturbation_exact_values(self):
+        X = np.array([[3.0, 4.0, 0.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+        zero_row = X.copy()
+        zero_row[0] = 0.0
+        assert NeighborPair(X, zero_row).perturbation == 25.0
+        assert NeighborPair(zero_row, X).perturbation == 25.0
+        scalar = NeighborPair(np.array([3.0, 1.0, 2.0]), np.array([3.0, -1.5, 2.0]))
+        assert scalar.perturbation == abs(1.0**2 - 1.5**2)
 
     def test_rejects_multiple_differing_rows(self):
         X = np.ones((4, 2))
@@ -474,9 +474,13 @@ class TestExactStabilityGap:
     st.floats(min_value=0.01, max_value=2.0),
 )
 @settings(max_examples=300, deadline=None)
+@example(1000.0, 999.9999999999999, 2.0)
 def test_power_difference_inequality(a, b, alpha):
     # |a^alpha - b^alpha| <= |a - b| (a^(alpha-1) + b^(alpha-1)) underpins the
-    # one-dimensional bound's arithmetic.
-    lhs = abs(a**alpha - b**alpha)
-    rhs = abs(a - b) * (a ** (alpha - 1.0) + b ** (alpha - 1.0))
-    assert lhs <= rhs * (1.0 + 1e-12) + 1e-300
+    # one-dimensional bound's arithmetic. It is an equality at alpha = 2, so
+    # both sides are evaluated at 50 digits from the exact float inputs.
+    with mpmath.workdps(50):
+        a, b, alpha = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(alpha)
+        lhs = abs(a**alpha - b**alpha)
+        rhs = abs(a - b) * (a ** (alpha - 1) + b ** (alpha - 1))
+        assert lhs <= rhs + mpmath.mpf("1e-40") * max(a**alpha, b**alpha)
