@@ -10,6 +10,8 @@ synthetic generalization experiments.
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .bounds import (
     NO_THRESHOLD,
     BoundInputs,
@@ -83,64 +85,8 @@ from .tail import (
     median_center,
 )
 
-__all__ = [
-    "AccuracyError",
-    "BoundInputs",
-    "DegenerateDataError",
-    "NO_THRESHOLD",
-    "NeighborPair",
-    "NoThreshold",
-    "ParameterError",
-    "PoleError",
-    "QuadraticProblem",
-    "RngStream",
-    "RunRecord",
-    "ShapeError",
-    "SimConfig",
-    "StabilityGapEstimate",
-    "StabilityRegime",
-    "StableOUError",
-    "StableParams",
-    "StationaryCharFn",
-    "SweepConfig",
-    "TailEstimate",
-    "Trajectory",
-    "UnstableRegimeError",
-    "aggregate_median_iqr",
-    "alpha_factor",
-    "cauchy_doubling_check",
-    "char_fn_diff_bound_1d",
-    "char_fn_diff_bound_dd",
-    "char_fn_diff_exact",
-    "classify_regime",
-    "default_burn_in",
-    "default_probe_points",
-    "digamma",
-    "empirical_char_fn",
-    "empirical_stability_gap",
-    "estimate_tail_index",
-    "euler_maruyama_run",
-    "exact_stability_gap",
-    "final_iterate",
-    "gamma_fn",
-    "generalization_error",
-    "generate_population",
-    "median_center",
-    "monotonicity_scan",
-    "read_run_records",
-    "replay_record",
-    "run_synthetic_sweep",
-    "sample_isotropic_stable",
-    "sample_sas_scalar",
-    "sample_skewed_positive_stable",
-    "sas_abs_moment",
-    "stationary_sample",
-    "surrogate_risk",
-    "threshold_alpha0",
-    "upper_bound_1d",
-    "upper_bound_dd",
-    "variance_threshold",
-    "write_aggregate",
-    "write_run_records",
-    "write_sweep_svg",
-]
+# The public API is every name imported above, declared there once.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -144,8 +144,19 @@ def _read_matrix_csv(path) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
+# The sample settings each kind ignores; setting one away from its default is an error.
+_SAMPLE_UNREAD = {"sas": ("d",), "positive": ("sigma", "d"), "isotropic": ()}
+
+
 def _cmd_sample(cfg: dict, out_dir: Path) -> int:
     kind = cfg["kind"]
+    if kind not in _SAMPLE_UNREAD:
+        raise ParameterError(f"kind must be 'sas', 'positive' or 'isotropic', got {kind!r}")
+    unread = _SAMPLE_UNREAD[kind]
+    changed = [f"{key}={cfg[key]}" for key in unread if cfg[key] != _DEFAULTS["sample"][key]]
+    if changed:
+        raise ParameterError(f"kind {kind!r} does not read {', '.join(unread)}; "
+                             f"got {', '.join(changed)}")
     alpha = float(cfg["alpha"])
     count = int(cfg["count"])
     stream = RngStream(int(cfg["seed"]))
@@ -155,11 +166,9 @@ def _cmd_sample(cfg: dict, out_dir: Path) -> int:
     elif kind == "positive":
         data = sample_skewed_positive_stable(alpha, stream, size=count)
         data = np.asarray(data)[:, None]
-    elif kind == "isotropic":
+    else:
         params = StableParams(alpha, float(cfg["sigma"]))
         data = sample_isotropic_stable(int(cfg["d"]), params, stream, size=count)
-    else:
-        raise ParameterError(f"kind must be 'sas', 'positive' or 'isotropic', got {kind!r}")
     _write_csv(out_dir / "samples.csv", [f"x_{j + 1}" for j in range(data.shape[1])], data)
     _finish(out_dir, "sample", cfg, ["samples.csv"])
     print(f"wrote {count} {kind} samples (alpha={alpha}) to {out_dir / 'samples.csv'}")

@@ -132,14 +132,16 @@ def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, siz
     gen = stream.generator
     alpha, sigma = params.alpha, params.sigma
 
-    if alpha == 2.0:
-        x = sigma * np.sqrt(2.0) * gen.standard_normal((n, d))
-    else:
-        a = sample_skewed_positive_stable(alpha / 2.0, stream, size=n)
-        g = gen.standard_normal((n, d))
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = sigma * np.sqrt(2.0 * a)[:, None] * g
-    return x
+    a = None if alpha == 2.0 else sample_skewed_positive_stable(alpha / 2.0, stream, size=n)
+    return _subordinated_gaussian(a, gen.standard_normal((n, d)), sigma)
+
+
+def _subordinated_gaussian(a, g, sigma: float) -> np.ndarray:
+    """sigma * sqrt(2 a_k) * g_k for each row k of g; sigma * sqrt(2) * g when a is None (alpha=2)."""
+    if a is None:
+        return sigma * np.sqrt(2.0) * g
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sigma * np.sqrt(2.0 * a)[:, None] * g
 
 
 def empirical_char_fn(samples, u) -> complex:

@@ -21,7 +21,12 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError, ShapeError
 from .rng import RngStream
-from .sampling import StableParams, sample_isotropic_stable
+from .sampling import (
+    StableParams,
+    _subordinated_gaussian,
+    sample_isotropic_stable,
+    sample_skewed_positive_stable,
+)
 
 OVERFLOW_LIMIT = 1e300
 
@@ -170,6 +175,11 @@ def _driving_noise(d: int, config: SimConfig, stream: RngStream | None, size: in
     if stream is None:
         raise ParameterError("a stream is required when noise_scale > 0")
     e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=size)
+    return _scaled(config, e)
+
+
+def _scaled(config: SimConfig, e: np.ndarray) -> np.ndarray:
+    """eta^(1/alpha) * noise_scale * e, the shocks of unit-scale draws e."""
     with np.errstate(over="ignore"):
         return (config.eta ** (1.0 / config.alpha)) * (config.noise_scale * e)
 
@@ -208,48 +218,59 @@ def euler_maruyama_run(
 def final_iterate(
     problem: QuadraticProblem, config: SimConfig, stream: RngStream | None = None
 ) -> tuple[np.ndarray, bool]:
-    """theta_T and the divergence flag of ``euler_maruyama_run`` from theta_0 = 0, with no path.
+    """theta_T from theta_0 = 0, drawn from its exact law, and the loop's divergence flag.
 
-    In the eigenbasis A = Q diag(lambda) Q^T the recursion is elementwise,
-    z_{k+1} = m * z_k + c_k with m = 1 - eta * lambda and c_k = Q^T noise_k,
-    so z_T = sum_k m^(T-1-k) * c_k. When every |m_i| <= 1 and
-    sum_k ||c_k||_2 < OVERFLOW_LIMIT, no iterate can overflow and that sum
-    is theta_T in the eigenbasis. Otherwise the recursion is stepped over the
-    same noise, so the flag is always the loop's.
+    The shocks are Gaussian vectors scaled by sqrt(2 A_k), A_k the positive
+    (alpha/2)-stable subordinator of sample_isotropic_stable (1 at alpha = 2).
+    Given the T draws A_k, and in the eigenbasis A = Q diag(lambda) Q^T,
+    theta_T = Q (sqrt(v) * h) with h ~ N(0, I_d), m = 1 - eta * lambda,
+    s_k^2 = 2 eta^(2/alpha) noise_scale^2 A_k and v = sum_k (m^2)^(T-1-k) s_k^2.
+    It shares its law with ``euler_maruyama_run``, not its noise. That law is
+    drawn when every |m_i| <= 1 and sum_k s_k^2 < OVERFLOW_LIMIT, so that sum
+    bounds every iterate's variance. Otherwise the (T, d) Gaussians follow
+    the A_k as in sample_isotropic_stable and the recursion is stepped: theta
+    and the flag are then ``euler_maruyama_run``'s at the same stream, bit
+    for bit.
     """
     check_step_size(problem, config)
-    noise = _driving_noise(problem.d, config, stream, config.steps)
-    Q = problem.eigenvectors
+    d, T, alpha = problem.d, config.steps, config.alpha
+    if config.noise_scale == 0.0:
+        return np.zeros(d), False
+    if stream is None:
+        raise ParameterError("a stream is required when noise_scale > 0")
+    a = None if alpha == 2.0 else sample_skewed_positive_stable(alpha / 2.0, stream, size=T)
     m = 1.0 - config.eta * problem.eigenvalues
-    if np.all(np.abs(m) <= 1.0) and np.all(np.isfinite(noise)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = noise @ Q
-            certified = np.linalg.norm(c, axis=1).sum() < OVERFLOW_LIMIT
-        if certified:
-            return Q @ _weighted_sum(m, c), False
-    theta, last = np.zeros(problem.d), 0
+    scale = config.eta ** (1.0 / alpha) * config.noise_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = (np.full(T, 2.0) if a is None else 2.0 * a) * scale * scale
+        certified = np.all(np.abs(m) <= 1.0) and s2.sum() < OVERFLOW_LIMIT
+    gen = stream.generator
+    if certified:
+        v = _variance(m * m, s2)
+        return problem.eigenvectors @ (np.sqrt(v) * gen.standard_normal(d)), False
+    noise = _scaled(config, _subordinated_gaussian(a, gen.standard_normal((T, d)), 1.0))
+    theta, last = np.zeros(d), 0
     for last, theta in enumerate(_recursion(theta, problem.A, config.eta, noise), 1):
         pass
-    return theta, last < config.steps
+    return theta, last < T
 
 
-def _weighted_sum(m: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_k m^(T-1-k) * c_k over the T rows of c, in blocks of isqrt(T) rows.
+def _variance(m2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """sum_k m2^(T-1-k) * s2_k for each entry of m2, in blocks of isqrt(T) of the T scalars s2.
 
-    A (B, d) table of the powers m^0 .. m^(B-1) weights every block at once;
-    a Horner pass with m^B then joins the block sums, oldest first. A short
-    leading block takes the last of the table's rows.
+    A (B, d) table of the powers m2^0 .. m2^(B-1) weights every block in one
+    (T/B, B) @ (B, d) product; a Horner pass with m2^B then joins the block
+    sums, oldest first. A short leading block takes the table's last rows.
     """
-    T, d = c.shape
+    T = s2.shape[0]
     B = math.isqrt(T)
     head = T % B
-    weights = m ** np.arange(B - 1, -1, -1)[:, None]
-    z = np.einsum("id,id->d", c[:head], weights[B - head :])
-    blocks = np.einsum("jid,id->jd", c[head:].reshape(-1, B, d), weights)
-    stride = m**B
-    for block in blocks:
-        z = z * stride + block
-    return z
+    weights = m2 ** np.arange(B - 1, -1, -1)[:, None]
+    v = s2[:head] @ weights[B - head :]
+    stride = m2**B
+    for block in s2[head:].reshape(-1, B) @ weights:
+        v = v * stride + block
+    return v
 
 
 def stationary_sample(

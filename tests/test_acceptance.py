@@ -159,19 +159,26 @@ def test_05_char_fn_diff_bounds_dominate_exact():
 
 
 def test_06_generalization_error_shape_across_data_scales():
-    """KNOWN RED on the a=1 leg (and the a=8 pass is fragile).
+    """KNOWN RED by analysis; at master_seed=0 it now reads PASS by sampling noise.
 
-    Measured facts at this exact protocol (master_seed=0): the a=1 curve
-    is monotone decreasing in alpha, so alpha=2.0 IS its minimizer; at
-    400 replications the a=8 curve is monotone decreasing too (argmin
-    2.0), so its desk-scale interior argmin is sampling noise. The
-    threshold algebra says heavy tails start helping only once the
+    The threshold algebra says heavy tails start helping only once the
     per-coordinate data variance a^2/12 exceeds variance_threshold(2,1)
     = 71.55, i.e. a > 29.3; a probe at a=40 (eta=0.001 for step-size
     stability) indeed yields a monotone INcreasing curve with argmin at
-    alpha=1.1. The expected shape is real but lives at roughly 4x this
-    check's data scale, so the check is reported honestly as failed
-    rather than re-tuned to pass.
+    alpha=1.1. Both legs here lie below the threshold, where alpha=2.0
+    is the expected minimizer; at 400 replications (measured with the
+    per-step noise) the a=8 curve is monotone decreasing, argmin 2.0, so
+    its interior argmin at 50 replications is sampling noise.
+
+    Since the sweep draws each final iterate from its exact law, this
+    protocol reads a=8 argmin 1.9 and a=1 argmin 1.9, so the check
+    passes. That is sampling noise too, not the expected shape: the a=1
+    medians at alpha 1.9 and 2.0 are 0.0450 and 0.0470, with interquartile
+    ranges near 0.03 wide. Over master seeds 0-3 the a=1 argmin is 1.9,
+    1.9, 2.0, 1.9; with the per-step noise it was 2.0, 1.9, 2.0, 2.0, so
+    seed 1 passed there as well. The analysis above stands and nothing in
+    the program was changed to pass; the check is left as it was rather
+    than re-tuned either way.
     """
     t0 = time.time()
     cfg = SweepConfig(

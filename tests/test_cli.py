@@ -94,6 +94,30 @@ class TestSample:
         data = np.loadtxt(out / "samples.csv", skiprows=1)
         assert np.all(data > 0)
 
+    @pytest.mark.parametrize("kind, unread", [
+        ("sas", ["--d", "4"]),
+        ("positive", ["--sigma", "7"]),
+        ("positive", ["--d", "4"]),
+        ("positive", ["--sigma", "7", "--d", "4"]),
+    ])
+    def test_settings_the_kind_does_not_read_are_rejected(self, tmp_path, capsys, kind, unread):
+        out = tmp_path / "out"
+        code = run_cli(["sample", "--kind", kind, "--alpha", "0.5", "--count", "5", *unread,
+                        "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "does not read" in err["message"]
+        assert not (out / "samples.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["sas", "positive"])
+    def test_unread_settings_at_their_defaults_are_accepted(self, tmp_path, kind):
+        args = ["sample", "--kind", kind, "--alpha", "0.5", "--count", "5", "--seed", "2"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(args + ["--out", str(out1)]) == 0
+        assert run_cli(args + ["--sigma", "1", "--d", "1", "--out", str(out2)]) == 0
+        assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
+
     def test_missing_alpha_fails_with_usage_code(self, tmp_path, capsys):
         code = run_cli(["sample", "--out", str(tmp_path / "out")])
         assert code == 1

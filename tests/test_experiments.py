@@ -34,7 +34,7 @@ from stableou import (
     write_run_records,
     write_sweep_svg,
 )
-from stableou import experiments, simulate
+from stableou import experiments, sampling, simulate
 from stableou.experiments import _coupled_stationary_draws
 
 TINY_SWEEP = dict(
@@ -198,13 +198,28 @@ class TestSyntheticSweep:
 
     def test_check_06_shape_never_steps_the_loop(self, monkeypatch):
         # At d = 100, eta = 0.1 and 3,000 steps every run is certified free of
-        # overflow, so its final iterate comes from the closed form alone.
+        # overflow, so its final iterate is drawn from its exact law alone: no
+        # loop, no isotropic draws and no (steps, d) Gaussian block.
         def refuse(*args, **kwargs):
-            raise AssertionError("the sweep stepped the recursion loop")
+            raise AssertionError("the sweep stepped the recursion loop or drew its shocks")
+
+        class NoGaussianBlocks:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def __getattr__(self, name):
+                return getattr(self._gen, name)
+
+            def standard_normal(self, size=None, **kwargs):
+                assert np.ndim(size) == 0, f"the sweep drew a {size} Gaussian block"
+                return self._gen.standard_normal(size, **kwargs)
 
         monkeypatch.setattr(simulate, "euler_maruyama_run", refuse)
         monkeypatch.setattr(experiments, "euler_maruyama_run", refuse)
         monkeypatch.setattr(simulate, "_recursion", refuse)
+        for module in (simulate, experiments, sampling):
+            monkeypatch.setattr(module, "sample_isotropic_stable", refuse)
+        monkeypatch.setattr(RngStream, "generator", property(lambda s: NoGaussianBlocks(s._gen)))
         cfg = SweepConfig(
             alpha_grid=(1.1, 1.5, 2.0), a_grid=(1.0, 8.0), d_grid=(100,), n=1000,
             population_size=2000, replications=1, eta=0.1, steps=3000, noise_scale=0.1,

@@ -154,6 +154,29 @@ def test_isotropic_rejects_bad_dimension():
         sample_isotropic_stable(0, StableParams(1.5, 1.0), RngStream(0), size=1)
 
 
+@pytest.mark.parametrize("alpha, sigma, d, seed", [
+    (0.3, 1.0, 1, 40), (1.1, 0.7, 3, 41), (1.5, 1.0, 7, 42), (1.99, 2.5, 2, 43), (2.0, 1.3, 4, 44),
+])
+def test_isotropic_draws_rebuild_from_the_raw_draws(alpha, sigma, d, seed):
+    # The subordinator's CMS transform on its angles and exponentials, then the
+    # Gaussian block, in that stream order: the draws must not move by one bit.
+    n = 500
+    gen = RngStream(seed).generator
+    if alpha == 2.0:
+        expected = sigma * np.sqrt(2.0) * gen.standard_normal((n, d))
+    else:
+        ap = alpha / 2.0
+        u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
+        w = gen.standard_exponential(size=n)
+        shifted = ap * (u + np.pi / 2.0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            a = (np.sin(shifted) / np.cos(u) ** (1.0 / ap)
+                 * (np.cos(u - shifted) / w) ** ((1.0 - ap) / ap))
+            expected = sigma * np.sqrt(2.0 * a)[:, None] * gen.standard_normal((n, d))
+    got = sample_isotropic_stable(d, StableParams(alpha, sigma), RngStream(seed), size=n)
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_isotropic_gaussian_coordinates():
     x = sample_isotropic_stable(3, StableParams(2.0, 1.0), RngStream(14), size=100000)
     assert x.shape == (100000, 3)

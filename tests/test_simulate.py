@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from stableou import (
     AccuracyError,
@@ -14,6 +16,7 @@ from stableou import (
     default_burn_in,
     euler_maruyama_run,
     final_iterate,
+    sample_skewed_positive_stable,
     stationary_sample,
 )
 
@@ -147,6 +150,24 @@ def test_theta0_dimension_checked():
         euler_maruyama_run(prob, cfg, np.ones(prob.d + 1))
 
 
+def replayed_final_iterate(prob, cfg, stream):
+    """Q (sqrt(v) * h) from the draws final_iterate takes, with v stepped one step at a time.
+
+    final_iterate draws the T subordinator values (none at alpha = 2) and
+    then the d Gaussians h; here v <- m^2 v + s_k^2 runs over the steps.
+    """
+    alpha, eta = cfg.alpha, cfg.eta
+    if alpha == 2.0:
+        a = np.ones(cfg.steps)
+    else:
+        a = sample_skewed_positive_stable(alpha / 2.0, stream, cfg.steps)
+    m = 1.0 - eta * prob.eigenvalues
+    v = np.zeros(prob.d)
+    for a_k in a:
+        v = m * m * v + 2.0 * eta ** (2.0 / alpha) * cfg.noise_scale**2 * a_k
+    return prob.eigenvectors @ (np.sqrt(v) * stream.generator.standard_normal(prob.d))
+
+
 class TestFinalIterate:
     # Steps cover a single step, 37 = 6 * 6 + 1 and 1000 = 31 * 32 + 8, which is no
     # multiple of its block size isqrt(1000) = 31; a contraction eta * lambda_max
@@ -162,11 +183,49 @@ class TestFinalIterate:
         cfg = SimConfig(
             eta=contraction / prob.lambda_max, steps=steps, alpha=alpha, noise_scale=noise_scale
         )
-        # A noiseless run needs no stream.
-        traj = euler_maruyama_run(prob, cfg, stream=RngStream(11) if noise_scale else None)
-        theta, diverged = final_iterate(prob, cfg, RngStream(11) if noise_scale else None)
-        assert not diverged and not traj.diverged
-        assert np.linalg.norm(theta - traj.final) <= 1e-12 * np.linalg.norm(traj.final)
+        if noise_scale:
+            # The noisy draw is checked against its law stepped one step at a time.
+            expected = replayed_final_iterate(prob, cfg, RngStream(11))
+            theta, diverged = final_iterate(prob, cfg, RngStream(11))
+        else:
+            # A noiseless run needs no stream.
+            traj = euler_maruyama_run(prob, cfg)
+            theta, diverged = final_iterate(prob, cfg)
+            expected = traj.final
+            assert not traj.diverged
+        assert not diverged
+        assert np.linalg.norm(theta - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @staticmethod
+    def law_problem(d, alpha):
+        prob = make_problem(seed=d, n=200, d=d)
+        cfg = SimConfig(eta=1.6 / prob.lambda_max, steps=100, alpha=alpha, noise_scale=0.5)
+        return prob, cfg, np.linspace(1.0, 2.0, d)
+
+    @pytest.mark.parametrize("d", [1, 7])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_projections_follow_the_exact_law(self, d, alpha):
+        # From 0, theta_T^T z is scalar SaS with
+        # scale^alpha = noise_scale^alpha eta sum_{j<T} ||M^j z||^alpha, M = I - eta A.
+        prob, cfg, z = self.law_problem(d, alpha)
+        M = np.eye(d) - cfg.eta * prob.A
+        norms = [np.linalg.norm(np.linalg.matrix_power(M, j) @ z) for j in range(cfg.steps)]
+        scale = (cfg.noise_scale**alpha * cfg.eta * np.sum(np.power(norms, alpha))) ** (1 / alpha)
+        if alpha == 2.0:
+            law = scipy.stats.norm(scale=math.sqrt(2.0) * scale)
+        else:
+            law = scipy.stats.levy_stable(alpha, 0.0, scale=scale)
+        draws = np.array([final_iterate(prob, cfg, RngStream(500 + r))[0] @ z for r in range(1000)])
+        assert scipy.stats.kstest(draws, law.cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("d", [1, 7])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_projections_match_the_loop_in_law(self, d, alpha):
+        prob, cfg, z = self.law_problem(d, alpha)
+        exact = [final_iterate(prob, cfg, RngStream(2000 + r))[0] @ z for r in range(400)]
+        looped = [euler_maruyama_run(prob, cfg, stream=RngStream(3000 + r)).final @ z
+                  for r in range(400)]
+        assert scipy.stats.ks_2samp(exact, looped).pvalue > 0.01
 
     @pytest.mark.parametrize(
         "alpha, contraction, noise_scale, diverges",
