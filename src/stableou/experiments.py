@@ -33,8 +33,10 @@ from .simulate import (
 from .stationary import NeighborPair, _gap_probes
 
 AGGREGATE_COLUMNS = ("alpha", "a", "d", "median", "q25", "q75", "n_diverged")
-# Rows of the fixed-shape product that scores every risk (see surrogate_risk).
+# Rows and columns of the fixed-shape product that scores every risk (see
+# surrogate_risk): its float64 scratch is 32 x 2048, 512 KB.
 _RISK_ROWS = 32
+_RISK_COLS = 2048
 
 
 @dataclass(frozen=True)
@@ -136,35 +138,42 @@ def generate_population(a: float, d: int, N: int, stream: RngStream) -> np.ndarr
 def surrogate_risk(theta, data, p: float):
     """(1/m) sum |theta^T x_i|^p over the m rows of data, for one theta or a (k, d) stack.
 
-    Every risk is one row of the same fixed-shape (_RISK_ROWS, d) @ (d, m)
-    product, its theta written into a zeroed block, so a theta's risk has
-    the same bits at any row and whatever the other rows hold. One theta
-    gives a float, a stack an array of k risks.
+    Every risk is one row of the same fixed-shape (_RISK_ROWS, d) @ (d, w)
+    products, its theta written into a zeroed block, one product per chunk
+    of w = _RISK_COLS data rows (the last chunk holds the rest). Each row
+    adds up its chunks' sums in order and divides by m once, so a theta's
+    risk has the same bits at any row and whatever the other rows hold.
+    The chunk loop runs outside the block loop, so the data is read, and
+    converted to float64, once and one chunk at a time whatever k is. One
+    theta gives a float, a stack an array of k risks.
     """
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2], got {p}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     thetas = np.atleast_2d(theta)
-    data = np.asarray(data, dtype=float)
+    data = np.asarray(data)
     if data.ndim == 1:
         data = data[:, None]
     if thetas.ndim != 2 or data.ndim != 2 or data.shape[1] != thetas.shape[1]:
         raise ShapeError(f"data of shape {data.shape} does not match theta of shape {theta.shape}")
     if data.shape[0] == 0:
         raise ShapeError("data must contain at least one row")
-    block = np.empty((_RISK_ROWS, thetas.shape[1]))
-    scores = np.empty((_RISK_ROWS, data.shape[0]))
-    risks = np.empty(thetas.shape[0])
+    (k, d), m = thetas.shape, data.shape[0]
+    blocks = np.zeros((-(-k // _RISK_ROWS), _RISK_ROWS, d))
+    blocks.reshape(-1, d)[:k] = thetas
+    scores = np.empty((_RISK_ROWS, min(m, _RISK_COLS)))
+    sums = np.zeros(k)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, thetas.shape[0], _RISK_ROWS):
-            rows = thetas[start : start + _RISK_ROWS]
-            block.fill(0.0)
-            block[: len(rows)] = rows
-            np.matmul(block, data.T, out=scores)
-            used = scores[: len(rows)]
-            np.abs(used, out=used)
-            np.power(used, p, out=used)
-            risks[start : start + len(rows)] = used.mean(axis=1)
+        for col in range(0, m, _RISK_COLS):
+            chunk = np.asarray(data[col : col + _RISK_COLS], dtype=float)
+            out = scores[:, : len(chunk)]
+            for start, block in zip(range(0, k, _RISK_ROWS), blocks):
+                np.matmul(block, chunk.T, out=out)
+                used = out[: k - start]
+                np.abs(used, out=used)
+                np.power(used, p, out=used)
+                sums[start : start + len(used)] += used.sum(axis=1)
+    risks = sums / m
     return float(risks[0]) if theta.ndim == 1 else risks
 
 

@@ -1,5 +1,6 @@
 import math
 import operator
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -35,6 +36,7 @@ from stableou import (
     write_sweep_svg,
 )
 from stableou import experiments, sampling, simulate
+from stableou.experiments import _RISK_COLS as COLS
 from stableou.experiments import _coupled_stationary_draws
 
 TINY_SWEEP = dict(
@@ -161,13 +163,49 @@ class TestBlockRisk:
             want = math.fsum(v**p for v in dots) / len(dots)
             assert surrogate_risk(thetas[31], data, p) == pytest.approx(want, rel=1e-13)
 
-    def test_more_rows_than_the_block_are_scored_in_blocks(self):
+    @pytest.mark.parametrize("m", [500, COLS - 1, COLS, COLS + 1, 2 * COLS + 17])
+    def test_every_row_matches_alone_across_chunk_boundaries(self, m):
+        # 70 iterates fill three blocks. The data ends inside the first chunk,
+        # one row short of, at and one row past a chunk's end, and inside a third.
         rng = np.random.default_rng(3)
-        data = rng.uniform(-1.0, 1.0, size=(500, 4))
+        data = rng.uniform(-1.0, 1.0, size=(m, 4))
         thetas = rng.standard_normal((70, 4))
-        block = surrogate_risk(thetas, data, 1.0)
+        thetas[5, 3] = np.inf
+        thetas[40, 0] = np.nan
+        block = surrogate_risk(thetas, data, 1.5)
         assert block.shape == (70,)
-        assert all(block[i] == surrogate_risk(thetas[i], data, 1.0) for i in range(70))
+        assert block[5] == np.inf and math.isnan(block[40])
+        alone = [surrogate_risk(theta, data, 1.5) for theta in thetas]
+        assert np.array_equal(block, alone, equal_nan=True)
+        rows = data.tolist()
+        for i in set(range(70)) - {5, 40}:
+            theta = thetas[i].tolist()
+            want = math.fsum(abs(math.fsum(map(operator.mul, row, theta))) ** 1.5 for row in rows)
+            assert block[i] == pytest.approx(want / m, rel=1e-13)
+
+    def test_scratch_stays_small_and_other_dtypes_are_converted_by_chunk(
+        self, population_and_thetas
+    ):
+        data, _ = population_and_thetas
+        thetas = 0.05 * np.random.default_rng(4).standard_normal((70, 100))
+        single = data.astype(np.float32)
+
+        def traced_peak(population):
+            tracemalloc.start()
+            try:
+                surrogate_risk(thetas, population, 1.5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # A 32 x population score block would be 25.6 MB, a float64 copy of
+        # the float32 population 80 MB.
+        for population in (data, single):
+            peak = traced_peak(population)
+            assert peak < 4e6, f"{population.dtype} population: traced peak {peak / 1e6:.2f} MB"
+        assert np.array_equal(
+            surrogate_risk(thetas, single, 1.5), surrogate_risk(thetas, single.astype(float), 1.5)
+        )
 
 
 class TestSyntheticSweep:
@@ -189,6 +227,14 @@ class TestSyntheticSweep:
     def test_replay_reproduces_each_record(self):
         cfg = SweepConfig(**TINY_SWEEP)
         records = run_synthetic_sweep(cfg)
+        for r in records:
+            assert replay_record(cfg, r) == r
+
+    def test_replay_reproduces_each_record_across_risk_chunks(self):
+        # Three full chunks of the population and a remainder.
+        cfg = SweepConfig(**{**TINY_SWEEP, "d_grid": (3,), "population_size": 3 * COLS + 100})
+        records = run_synthetic_sweep(cfg)
+        assert len(records) == 6 and not any(r.diverged for r in records)
         for r in records:
             assert replay_record(cfg, r) == r
 
