@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .simulate import (
     QuadraticProblem,
     SimConfig,
     _driving_noise,
+    _in_range,
     _recursion,
     check_step_size,
     default_burn_in,
@@ -288,12 +288,11 @@ def _coupled_stationary_draws(
     # Chain j of dataset i is column j of state[i].
     state = np.zeros((2, d, n_mc))
     A = np.stack([prob.A for prob in problems])
-    last = deque(enumerate(_recursion(state, A, sim.eta, shocks), 1), maxlen=1)
-    done, state = last.pop() if last else (0, state)
-    if done < burn:
-        raise AccuracyError(
-            f"coupled chains overflowed at step {done + 1} of a {burn}-step burn-in"
-        )
+    for step, state in enumerate(_recursion(state, A, sim.eta, shocks), 1):
+        if not _in_range(state):
+            raise AccuracyError(
+                f"coupled chains overflowed at step {step} of a {burn}-step burn-in"
+            )
     return state[0].T, state[1].T
 
 

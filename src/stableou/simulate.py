@@ -100,7 +100,11 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """A simulated path: iterates[k] is theta_k, row 0 the initial point."""
+    """A simulated path: iterates[k] is theta_k, row 0 the initial point.
+
+    Every step runs; a diverged path is cut before its first iterate that is
+    non-finite or has a coordinate above OVERFLOW_LIMIT in magnitude.
+    """
 
     iterates: np.ndarray
     diverged: bool = False
@@ -158,14 +162,39 @@ def _recursion(theta, A, eta, shocks):
     """Yield theta <- theta - eta * A theta + shock for each shock in turn.
 
     theta is a (d,) state, or a stack of column states such as (2, d, n_mc)
-    with A of shape (2, d, d). Stops before the first iterate that is
-    non-finite or has a coordinate above OVERFLOW_LIMIT in magnitude.
+    with A of shape (2, d, d). Every step runs: the generator checks nothing,
+    so each caller tests the iterates for overflow itself.
     """
     for shock in shocks:
         theta = theta - eta * (A @ theta) + shock
-        if not np.all(np.abs(theta) <= OVERFLOW_LIMIT):
-            return
         yield theta
+
+
+def _in_range(x: np.ndarray) -> bool:
+    """Whether every entry of x is at most OVERFLOW_LIMIT in magnitude, nan failing.
+
+    max and min propagate nan, and neither allocates an array the size of x.
+    """
+    return bool(x.max() <= OVERFLOW_LIMIT and x.min() >= -OVERFLOW_LIMIT)
+
+
+def _stepped_path(theta0, A, eta, shocks) -> tuple[np.ndarray, bool]:
+    """The iterates theta_0 .. theta_T of the recursion from theta0, and whether it diverged.
+
+    Every step runs and is stored; one scan of rows 1..T then cuts the path
+    before its first iterate that is non-finite or has a coordinate above
+    OVERFLOW_LIMIT in magnitude, even if later iterates come back below it.
+    """
+    path = np.empty((shocks.shape[0] + 1, theta0.shape[0]))
+    path[0] = theta0
+    rows = path[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, theta in enumerate(_recursion(theta0, A, eta, shocks), 1):
+            path[k] = theta
+        if _in_range(rows):
+            return path, False
+        ok = np.all(np.abs(rows) <= OVERFLOW_LIMIT, axis=1)
+    return path[: int(np.argmin(ok)) + 1], True
 
 
 def _driving_noise(d: int, config: SimConfig, stream: RngStream | None, size: int) -> np.ndarray:
@@ -192,9 +221,10 @@ def euler_maruyama_run(
 ) -> Trajectory:
     """Run the discretized OU recursion for config.steps steps.
 
-    Any iterate with a coordinate above 1e300 in magnitude (or non-finite)
-    truncates the trajectory and sets the ``diverged`` flag instead of
-    raising: huge excursions are an expected outcome at small alpha.
+    Every step runs; one scan afterwards cuts the trajectory before the first
+    iterate with a coordinate above 1e300 in magnitude (or non-finite) and
+    sets the ``diverged`` flag instead of raising: huge excursions are an
+    expected outcome at small alpha.
     """
     d = problem.d
     if theta0 is None:
@@ -204,15 +234,9 @@ def euler_maruyama_run(
         raise ShapeError(f"theta0 has length {theta0.shape[0]} but the problem dimension is {d}")
     check_step_size(problem, config)
 
-    steps = config.steps
-    noise = _driving_noise(d, config, stream, steps)
-    iterates = np.empty((steps + 1, d))
-    iterates[0] = theta0
-    last = 0
-    for last, theta in enumerate(_recursion(theta0, problem.A, config.eta, noise), 1):
-        iterates[last] = theta
-
-    return Trajectory(iterates=iterates[: last + 1], diverged=last < steps)
+    noise = _driving_noise(d, config, stream, config.steps)
+    iterates, diverged = _stepped_path(theta0, problem.A, config.eta, noise)
+    return Trajectory(iterates=iterates, diverged=diverged)
 
 
 def final_iterate(
@@ -228,9 +252,9 @@ def final_iterate(
     It shares its law with ``euler_maruyama_run``, not its noise. That law is
     drawn when every |m_i| <= 1 and sum_k s_k^2 < OVERFLOW_LIMIT, so that sum
     bounds every iterate's variance. Otherwise the (T, d) Gaussians follow
-    the A_k as in sample_isotropic_stable and the recursion is stepped: theta
-    and the flag are then ``euler_maruyama_run``'s at the same stream, bit
-    for bit.
+    the A_k as in sample_isotropic_stable, every step of the recursion runs
+    and one scan cuts the path as in ``euler_maruyama_run``: theta and the
+    flag are then that function's at the same stream, bit for bit.
     """
     check_step_size(problem, config)
     d, T, alpha = problem.d, config.steps, config.alpha
@@ -249,10 +273,8 @@ def final_iterate(
         v = _variance(m * m, s2)
         return problem.eigenvectors @ (np.sqrt(v) * gen.standard_normal(d)), False
     noise = _scaled(config, _subordinated_gaussian(a, gen.standard_normal((T, d)), 1.0))
-    theta, last = np.zeros(d), 0
-    for last, theta in enumerate(_recursion(theta, problem.A, config.eta, noise), 1):
-        pass
-    return theta, last < T
+    path, diverged = _stepped_path(np.zeros(d), problem.A, config.eta, noise)
+    return path[-1], diverged
 
 
 def _variance(m2: np.ndarray, s2: np.ndarray) -> np.ndarray:

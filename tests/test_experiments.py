@@ -526,7 +526,9 @@ class TestEmpiricalStabilityGap:
         sim = SimConfig(
             eta=2.5, steps=3000, alpha=1.5, noise_scale=1.0, burn_in=2000, allow_unstable=True
         )
-        with pytest.warns(UserWarning, match="diverges"), pytest.raises(AccuracyError):
+        with pytest.warns(UserWarning, match="diverges"), pytest.raises(
+            AccuracyError, match="at step 1334 of a 2000-step burn-in"
+        ):
             empirical_stability_gap(
                 pair, default_probe_points(pair, 1.0), 1.0, 1.5, sim, 200, RngStream(0)
             )

@@ -19,6 +19,7 @@ from stableou import (
     sample_skewed_positive_stable,
     stationary_sample,
 )
+from stableou.simulate import _driving_noise
 
 
 def make_problem(seed=0, n=50, d=3):
@@ -235,6 +236,7 @@ class TestFinalIterate:
             (1.5, 2.0001, 0.1, False),  # ... but 1.0001^3000 stays small
             (2.0, 0.5, 1e298, False),  # the shocks' norms sum past 1e300, the iterates do not
             (2.0, 0.5, 1e300, True),
+            (1.0, 0.5, 1e297, True),  # past 1e300 first at step 1488, back below at the end
         ],
     )
     def test_uncertified_runs_step_the_loop(self, alpha, contraction, noise_scale, diverges):
@@ -249,6 +251,60 @@ class TestFinalIterate:
             theta, diverged = final_iterate(prob, cfg, RngStream(12))
         assert diverged == traj.diverged == diverges
         np.testing.assert_array_equal(theta, traj.final)
+
+
+def stepped_with_a_check(prob, cfg, theta0, stream):
+    """The recursion on euler_maruyama_run's shocks, stopped before its first iterate
+    that is non-finite or has a coordinate above 1e300 in magnitude."""
+    path = [theta0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shock in _driving_noise(prob.d, cfg, stream, cfg.steps):
+            theta = path[-1] - cfg.eta * (prob.A @ path[-1]) + shock
+            if not np.all(np.abs(theta) <= 1e300):
+                return np.array(path), True
+            path.append(theta)
+    return np.array(path), False
+
+
+UNIT_DRIFT = QuadraticProblem(np.ones(4))  # A = 1
+
+
+@pytest.mark.parametrize(
+    "prob, cfg, theta0",
+    [
+        # Noiseless growth: each step multiplies theta by 1 - 2.5 = -1.5.
+        (UNIT_DRIFT, SimConfig(eta=2.5, steps=3000, alpha=2.0, noise_scale=0.0,
+                               allow_unstable=True), [1.0]),
+        # Infinite shocks.
+        (make_problem(seed=9, n=40, d=4), SimConfig(eta=0.1, steps=3000, alpha=0.01,
+                                                    noise_scale=0.1), [0.0] * 4),
+        # A non-finite start makes theta_1 nan.
+        (UNIT_DRIFT, SimConfig(eta=0.1, steps=50, alpha=1.5), [np.inf]),
+        # theta_k = theta_0 * 0.9^k is back inside 1e300 by step 7; the cut is at step 1.
+        (UNIT_DRIFT, SimConfig(eta=0.1, steps=50, alpha=2.0, noise_scale=0.0), [2e300]),
+        (UNIT_DRIFT, SimConfig(eta=0.1, steps=50, alpha=2.0, noise_scale=0.0), [-2e300]),
+        # From 0, Cauchy shocks push theta past 1e300 from step 179 on, 37 times in
+        # all, and it ends back below.
+        (make_problem(seed=9, n=40, d=4), SimConfig(eta=0.25, steps=3000, alpha=1.0,
+                                                    noise_scale=1e298), [0.0] * 4),
+        # A run that stays in range keeps every step.
+        (make_problem(seed=9, n=40, d=4), SimConfig(eta=0.1, steps=500, alpha=1.5), [1.0] * 4),
+    ],
+)
+def test_one_scan_cuts_where_a_per_step_check_stops(prob, cfg, theta0):
+    theta0 = np.array(theta0)
+    expected, diverged = stepped_with_a_check(prob, cfg, theta0, RngStream(4))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "eta \\* lambda_max", UserWarning)
+        traj = euler_maruyama_run(prob, cfg, theta0, RngStream(4))
+    np.testing.assert_array_equal(traj.iterates, expected)
+    np.testing.assert_array_equal(traj.final, expected[-1])
+    assert traj.diverged == diverged
+    if not theta0.any():
+        # final_iterate starts at 0 and draws these runs' shocks from the same stream.
+        theta, flag = final_iterate(prob, cfg, RngStream(4))
+        np.testing.assert_array_equal(theta, expected[-1])
+        assert flag == diverged
 
 
 def test_default_burn_in_is_ten_mixing_times():
