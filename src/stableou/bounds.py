@@ -46,11 +46,10 @@ class BoundInputs:
 
     sigma2 bounds the 1-d second moment (sum x_i^2 <= sigma2 * n), sigma
     bounds the d-dim single-row perturbation (spectral norm <= 2 sigma), and
-    sigma_min lower-bounds the smallest Gram singular value. lambda_min and
-    lambda_max are the extreme eigenvalues of the noise preconditioner; the
-    default (1, 1) is isotropic noise. delta1, delta2 are the probabilities
-    with which the data assumptions fail; they are echoed into reports,
-    never estimated.
+    sigma_min lower-bounds the smallest Gram singular value. The noise is
+    isotropic, so no preconditioner spectrum enters. delta1, delta2 are the
+    probabilities with which the data assumptions fail; they are echoed into
+    reports, never estimated.
     """
 
     R: float
@@ -60,8 +59,6 @@ class BoundInputs:
     sigma2: float = 1.0
     sigma: float = 1.0
     sigma_min: float = 1.0
-    lambda_min: float = 1.0
-    lambda_max: float = 1.0
     delta1: float = 0.0
     delta2: float = 0.0
 
@@ -74,13 +71,9 @@ class BoundInputs:
             raise ParameterError(f"p must lie in [1, 2], got {self.p}")
         if not (0.0 < self.alpha <= 2.0):
             raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
-        for name in ("sigma2", "sigma", "sigma_min", "lambda_min", "lambda_max"):
+        for name in ("sigma2", "sigma", "sigma_min"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lambda_min > self.lambda_max:
-            raise ParameterError(
-                f"lambda_min={self.lambda_min} exceeds lambda_max={self.lambda_max}"
-            )
         # The bound holds with probability 1 - delta1 - 2 delta2, so each
         # failure budget must leave that floor positive on its own.
         if not 0.0 <= self.delta1 < 1.0:
@@ -154,12 +147,10 @@ def upper_bound_1d(b: BoundInputs) -> float | StabilityRegime:
         c(alpha) = (2 R^(p+2) / (pi sigma2 n)) Gamma(p+1) cos((p-1)pi/2)
                    alpha_factor(alpha, p, sigma2).
 
-    The scalar bound reads neither the d-dimensional sigma, sigma_min nor,
-    having no preconditioned form, the noise spectrum; any of them set away
-    from its default is rejected.
+    The scalar bound reads neither the d-dimensional sigma nor sigma_min;
+    either set away from its default is rejected.
     """
-    _reject_unread(b, ("sigma", "sigma_min", "lambda_min", "lambda_max"),
-                   "the 1-d bound has no preconditioned form and")
+    _reject_unread(b, ("sigma", "sigma_min"), "the 1-d bound")
     regime = classify_regime(b.p, b.alpha)
     if regime is StabilityRegime.UNSTABLE:
         return regime
@@ -173,47 +164,36 @@ def upper_bound_1d(b: BoundInputs) -> float | StabilityRegime:
 def upper_bound_dd(b: BoundInputs) -> float | StabilityRegime:
     """Stability upper bound for the d-dimensional loss |theta^T x|^p.
 
-    The noise preconditioner's spectrum multiplies the surrogate bound by
-    lambda_min^p (lambda_max/lambda_min)^alpha and the squared-loss bound by
-    lambda_max^2; both factors are exactly 1 at the isotropic default
-    lambda_min = lambda_max = 1. The bound does not read the 1-d sigma2, so
-    a sigma2 set away from its default is rejected.
+    The bound does not read the 1-d sigma2, so a sigma2 set away from its
+    default is rejected.
     """
     _reject_unread(b, ("sigma2",), "the d-dimensional bound")
     regime = classify_regime(b.p, b.alpha)
     if regime is StabilityRegime.UNSTABLE:
         return regime
     if regime is StabilityRegime.GAUSSIAN_SQUARED:
-        return 2.0 * b.R**2 * b.sigma / (math.pi * b.n * b.sigma_min) * b.lambda_max**2
+        return 2.0 * b.R**2 * b.sigma / (math.pi * b.n * b.sigma_min)
     _warn_if_near_pole(b.p, b.alpha)
     return (
         (8.0 * b.R**b.p * b.sigma / (math.pi * b.n))
         * gamma_fn(b.p + 1.0)
         * _cos_factor(b.p)
         * alpha_factor(b.alpha, b.p, b.sigma_min)
-        * (b.lambda_min**b.p * (b.lambda_max / b.lambda_min) ** b.alpha)
     )
 
 
-def variance_threshold(
-    alpha0: float, p: float, lambda_min: float = 1.0, lambda_max: float = 1.0
-) -> float:
+def variance_threshold(alpha0: float, p: float) -> float:
     """Variance level above which the bound increases in alpha on [alpha0, 2).
 
         exp(1 + 2/p - log(alpha0) - psi(1 - p/alpha0))
 
-    minus alpha0^2 log(lambda_max/lambda_min) inside the exponential for a
-    preconditioner with the given spectrum. Applies to sigma2 in one
-    dimension and to sigma_min in d dimensions.
+    Applies to sigma2 in one dimension and to sigma_min in d dimensions.
     """
     if not (1.0 <= p < alpha0):
         raise ParameterError(f"need 1 <= p < alpha0, got p={p}, alpha0={alpha0}")
     if not (1.0 < alpha0 <= 2.0):
         raise ParameterError(f"alpha0 must lie in (1, 2], got {alpha0}")
-    if not (0.0 < lambda_min <= lambda_max):
-        raise ParameterError(f"need 0 < lambda_min <= lambda_max, got {lambda_min}, {lambda_max}")
     exponent = 1.0 + 2.0 / p - math.log(alpha0) - digamma(1.0 - p / alpha0)
-    exponent -= alpha0**2 * math.log(lambda_max / lambda_min)
     # The exponent blows up as alpha0 approaches p; the threshold is then
     # unattainably large, which +inf states exactly.
     if exponent > 709.0:
@@ -221,15 +201,13 @@ def variance_threshold(
     return math.exp(exponent)
 
 
-def threshold_alpha0(
-    sigma_level: float, p: float, lambda_min: float = 1.0, lambda_max: float = 1.0
-) -> float | NoThreshold:
+def threshold_alpha0(sigma_level: float, p: float) -> float | NoThreshold:
     """Smallest alpha0 in (p, 2] whose variance threshold lies at or below sigma_level.
 
     Bisects [p + 1e-4 (2 - p), 2] to a 1e-12 bracket and returns its upper
     end. The map strictly decreases in alpha0: -log(alpha0) and -psi(1 - p/alpha0)
-    decrease (trigamma > 0), -alpha0^2 log(lambda_max/lambda_min) does not
-    increase. Returns the NoThreshold sentinel if alpha0 = 2 does not qualify.
+    both decrease (trigamma > 0). Returns the NoThreshold sentinel if
+    alpha0 = 2 does not qualify.
     """
     if not sigma_level > 0:
         raise ParameterError(f"sigma_level must be positive, got {sigma_level}")
@@ -237,7 +215,7 @@ def threshold_alpha0(
         raise ParameterError(f"p must lie in [1, 2), got {p}")
 
     def qualifies(alpha0: float) -> bool:
-        return variance_threshold(alpha0, p, lambda_min, lambda_max) <= sigma_level
+        return variance_threshold(alpha0, p) <= sigma_level
 
     lo, hi = p + 1e-4 * (2.0 - p), 2.0
     if not qualifies(hi):

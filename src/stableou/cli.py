@@ -76,8 +76,7 @@ _DEFAULTS = {
     "simulate": {"alpha": REQUIRED, "eta": 0.1, "steps": 3000, "noise_scale": 0.1, "seed": 0,
                  "n": None, "d": 1, "a": 1.0, "data_csv": None, "allow_unstable": False},
     "bounds": {**_dataclass_defaults(BoundInputs), "R": 1.0, "n": 1000, "dimension": "1d"},
-    "threshold": {"alpha0": None, "p": REQUIRED, "sigma_level": None, "lambda_min": 1.0,
-                  "lambda_max": 1.0},
+    "threshold": {"alpha0": None, "p": REQUIRED, "sigma_level": None},
     "sweep": {**_dataclass_defaults(SweepConfig), "svg": True},
     "estimate-tail": {"input_csv": REQUIRED, "K1": REQUIRED, "K2": REQUIRED, "median_center": False},
     "verify-charfn": {"alpha": REQUIRED, "d": 1, "s": 1.0, "n_points": None, "u_max": 3.0,
@@ -223,18 +222,16 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> int:
 
 def _cmd_threshold(cfg: dict, out_dir: Path) -> int:
     p = float(cfg["p"])
-    lam_min = float(cfg["lambda_min"])
-    lam_max = float(cfg["lambda_max"])
-    report: dict = {"p": p, "lambda_min": lam_min, "lambda_max": lam_max}
+    report: dict = {"p": p}
     if "alpha0" not in cfg and "sigma_level" not in cfg:
         raise ParameterError("provide 'alpha0' (forward threshold) or 'sigma_level' (inverse)")
     if "alpha0" in cfg:
         alpha0 = float(cfg["alpha0"])
         report["alpha0"] = alpha0
-        report["variance_threshold"] = variance_threshold(alpha0, p, lam_min, lam_max)
+        report["variance_threshold"] = variance_threshold(alpha0, p)
     if "sigma_level" in cfg:
         level = float(cfg["sigma_level"])
-        found = threshold_alpha0(level, p, lam_min, lam_max)
+        found = threshold_alpha0(level, p)
         report["sigma_level"] = level
         report["no_threshold"] = isinstance(found, NoThreshold)
         report["threshold_alpha0"] = None if report["no_threshold"] else found
@@ -284,7 +281,11 @@ def _cmd_estimate_tail(cfg: dict, out_dir: Path) -> int:
 def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
     alpha = float(cfg["alpha"])
     d = int(cfg["d"])
+    if d < 1:
+        raise ParameterError(f"d must be at least 1, got {d}")
     n_points = int(cfg.setdefault("n_points", 25 if d == 1 else 100))
+    if n_points < 1:
+        raise ParameterError(f"n_points must be at least 1, got {n_points}")
     tolerance = float(cfg.setdefault("tolerance", 0.05 if d == 1 else 1e-6))
     stream = RngStream(int(cfg["seed"]))
     rows = []
@@ -394,8 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma2", type=float)
     sp.add_argument("--sigma", type=float)
     sp.add_argument("--sigma-min", type=float, dest="sigma_min")
-    sp.add_argument("--lambda-min", type=float, dest="lambda_min")
-    sp.add_argument("--lambda-max", type=float, dest="lambda_max")
     sp.add_argument("--delta1", type=float)
     sp.add_argument("--delta2", type=float)
     sp.add_argument("--dimension", choices=["1d", "dd"])
@@ -404,8 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha0", type=float)
     sp.add_argument("--p", type=float)
     sp.add_argument("--sigma-level", type=float, dest="sigma_level")
-    sp.add_argument("--lambda-min", type=float, dest="lambda_min")
-    sp.add_argument("--lambda-max", type=float, dest="lambda_max")
 
     sp = add("sweep", "replicated generalization-error sweep")
     sp.add_argument("--replications", type=int)

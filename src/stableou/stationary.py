@@ -58,8 +58,8 @@ class StationaryCharFn:
             A = np.asarray(A, dtype=float)
             if A.ndim == 0:
                 A = A.reshape(1, 1)
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise ShapeError(f"A must be square, got shape {A.shape}")
+            if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+                raise ShapeError(f"A must be square and non-empty, got shape {A.shape}")
             # Symmetrize to absorb roundoff before the eigendecomposition.
             A = (A + A.T) / 2.0
             lam, q = np.linalg.eigh(A)

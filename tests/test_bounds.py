@@ -46,8 +46,6 @@ class TestBoundInputs:
             {"sigma2": 0.0},
             {"sigma": -1.0},
             {"sigma_min": -0.1},
-            {"lambda_min": 0.0},
-            {"lambda_min": 2.0, "lambda_max": 1.0},
             {"delta1": -0.1},
             {"delta1": 1.0},
             {"delta2": 0.6},
@@ -118,13 +116,6 @@ class TestUpperBound1d:
         with pytest.warns(RuntimeWarning):
             upper_bound_1d(b)
 
-    @pytest.mark.parametrize("spectrum", [(0.5, 2.0), (2.0, 2.0), (1.0, 3.0)])
-    def test_rejects_a_non_unit_spectrum(self, spectrum):
-        lam_min, lam_max = spectrum
-        b = BoundInputs(R=1.0, n=1000, p=1.0, alpha=1.5, lambda_min=lam_min, lambda_max=lam_max)
-        with pytest.raises(ParameterError, match="no preconditioned form"):
-            upper_bound_1d(b)
-
     @pytest.mark.parametrize(
         "unread", [{"sigma": 7.0}, {"sigma_min": 5.0}, {"sigma": 7.0, "sigma_min": 5.0}]
     )
@@ -157,23 +148,6 @@ class TestUpperBoundDd:
         b = BoundInputs(R=1.0, n=100, p=1.6, alpha=1.5)
         assert upper_bound_dd(b) is StabilityRegime.UNSTABLE
 
-    def test_general_noise_reduces_at_unit_spectrum(self):
-        # The spectrum factors are exactly 1 at (1, 1): the isotropic oracles hold.
-        b = BoundInputs(R=1.0, n=1000, p=1.0, alpha=1.5, lambda_min=1.0, lambda_max=1.0)
-        assert upper_bound_dd(b) == pytest.approx(3.470702845479248e-3, rel=1e-12)
-        b2 = BoundInputs(R=1.0, n=1000, p=2.0, alpha=2.0, lambda_min=1.0, lambda_max=1.0)
-        assert upper_bound_dd(b2) == pytest.approx(2.0 / (math.pi * 1000), rel=1e-12)
-
-    def test_general_noise_spectrum_factors(self):
-        b = BoundInputs(
-            R=1.0, n=300, p=1.1, alpha=1.8, lambda_min=0.5, lambda_max=2.0
-        )
-        plain = upper_bound_dd(BoundInputs(R=1.0, n=300, p=1.1, alpha=1.8))
-        expected = plain * 0.5**1.1 * (2.0 / 0.5) ** 1.8
-        assert upper_bound_dd(b) == pytest.approx(expected, rel=1e-12)
-        squared = BoundInputs(R=1.0, n=1000, p=2.0, alpha=2.0, lambda_min=0.5, lambda_max=2.0)
-        assert upper_bound_dd(squared) == pytest.approx(4.0 * 2.0 / (math.pi * 1000), rel=1e-12)
-
     def test_decays_like_one_over_n(self):
         lo = upper_bound_dd(BoundInputs(R=1.0, n=250, p=1.0, alpha=1.7))
         hi = upper_bound_dd(BoundInputs(R=1.0, n=1000, p=1.0, alpha=1.7))
@@ -186,16 +160,6 @@ class TestVarianceThreshold:
         assert variance_threshold(2.0, 1.0) == pytest.approx(71.547591628826522, rel=1e-12)
         assert variance_threshold(1.7, 1.2) == pytest.approx(302.45188287559320, rel=1e-12)
 
-    def test_spectrum_correction_reduces_at_equal_eigenvalues(self):
-        base = variance_threshold(1.6, 1.0)
-        assert variance_threshold(1.6, 1.0, lambda_min=2.0, lambda_max=2.0) == base
-
-    def test_spectrum_correction_lowers_the_threshold(self):
-        base = variance_threshold(1.6, 1.0)
-        adjusted = variance_threshold(1.6, 1.0, lambda_min=1.0, lambda_max=3.0)
-        assert adjusted == pytest.approx(base * math.exp(-(1.6**2) * math.log(3.0)), rel=1e-12)
-        assert adjusted < base
-
     def test_near_pole_is_infinite(self):
         assert variance_threshold(1.0 + 1e-9, 1.0) == math.inf
 
@@ -206,8 +170,6 @@ class TestVarianceThreshold:
             variance_threshold(2.2, 1.0)
         with pytest.raises(ParameterError):
             variance_threshold(1.5, 0.8)
-        with pytest.raises(ParameterError):
-            variance_threshold(1.5, 1.0, lambda_min=2.0, lambda_max=1.0)
 
 
 class TestThresholdAlpha0:
@@ -236,35 +198,22 @@ class TestThresholdAlpha0:
             threshold_alpha0(0.0, 1.0)
         with pytest.raises(ParameterError):
             threshold_alpha0(10.0, 2.0)
-        with pytest.raises(ParameterError):
-            threshold_alpha0(10.0, 1.0, lambda_min=2.0, lambda_max=1.0)
-
-    @pytest.mark.parametrize("p, alpha_star", [(1.0, 1.9), (1.0, 1.3), (1.5, 1.8)])
-    def test_round_trip_with_a_spectrum(self, p, alpha_star):
-        level = variance_threshold(alpha_star, p, 0.5, 2.0)
-        found = threshold_alpha0(level, p, 0.5, 2.0)
-        assert found == pytest.approx(alpha_star, abs=1e-9)
-        assert variance_threshold(found, p, 0.5, 2.0) <= level
 
     @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.9])
-    @pytest.mark.parametrize("lam", [(1.0, 1.0), (0.5, 2.0), (0.1, 10.0)])
-    def test_threshold_map_strictly_decreases(self, p, lam):
+    def test_threshold_map_strictly_decreases(self, p):
         # Bisection relies on this. Near p the exponent overflows and the map
         # returns +inf, so the infinite values must form a prefix.
         grid = np.linspace(p, 2.0, 20002)[1:]
-        values = np.array([variance_threshold(float(a), p, *lam) for a in grid])
+        values = np.array([variance_threshold(float(a), p) for a in grid])
         finite = np.isfinite(values)
         assert finite.any() and finite[np.argmax(finite):].all()
         assert np.all(np.diff(np.log(values[finite])) < 0.0)
 
     @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.9])
-    @pytest.mark.parametrize("lam", [(1.0, 1.0), (0.5, 2.0), (0.1, 10.0)])
     @pytest.mark.parametrize("level_factor", [1.5, 30.0, 1e4])
-    def test_matches_a_scipy_first_crossing(self, p, lam, level_factor):
-        log_ratio = math.log(lam[1] / lam[0])
-
+    def test_matches_a_scipy_first_crossing(self, p, level_factor):
         def log_threshold(a):
-            return 1.0 + 2.0 / p - np.log(a) - scipy.special.digamma(1.0 - p / a) - a**2 * log_ratio
+            return 1.0 + 2.0 / p - np.log(a) - scipy.special.digamma(1.0 - p / a)
 
         level = level_factor * math.exp(log_threshold(2.0))
         grid = np.linspace(p + 1e-4 * (2.0 - p), 2.0, 20001)
@@ -273,16 +222,15 @@ class TestThresholdAlpha0:
         assert first > 0
         want = scipy.optimize.brentq(lambda a: log_threshold(a) - math.log(level),
                       grid[first - 1], grid[first], xtol=1e-14, rtol=1e-14)
-        assert threshold_alpha0(level, p, *lam) == pytest.approx(want, abs=1e-9)
+        assert threshold_alpha0(level, p) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 1.9])
-    @pytest.mark.parametrize("lam", [(1.0, 1.0), (0.1, 10.0)])
-    def test_both_edges(self, p, lam):
+    def test_both_edges(self, p):
         # The map is +inf at the lower edge, so only an infinite level admits it.
-        assert threshold_alpha0(math.inf, p, *lam) == p + 1e-4 * (2.0 - p)
-        at_two = variance_threshold(2.0, p, *lam)
-        assert threshold_alpha0(at_two, p, *lam) == 2.0
-        assert threshold_alpha0(math.nextafter(at_two, 0.0), p, *lam) is NO_THRESHOLD
+        assert threshold_alpha0(math.inf, p) == p + 1e-4 * (2.0 - p)
+        at_two = variance_threshold(2.0, p)
+        assert threshold_alpha0(at_two, p) == 2.0
+        assert threshold_alpha0(math.nextafter(at_two, 0.0), p) is NO_THRESHOLD
 
 
 class TestMonotonicityScan:

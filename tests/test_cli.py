@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -216,28 +217,6 @@ class TestBounds:
         assert report["regime"] == "Unstable"
         assert report["value"] is None
 
-    def test_dd_spectrum_selects_the_preconditioned_form(self, tmp_path):
-        # The isotropic oracle 3.470702845479248e-3 times
-        # lambda_min^p (lambda_max/lambda_min)^alpha = 0.5 * 4^1.5 = 4.
-        out = tmp_path / "out"
-        code = run_cli([
-            "bounds", "--dimension", "dd", "--p", "1.0", "--alpha", "1.5",
-            "--lambda-min", "0.5", "--lambda-max", "2", "--out", str(out),
-        ])
-        assert code == 0
-        report = json.loads((out / "bounds.json").read_text())
-        assert report["inputs"]["dimension"] == "dd"
-        assert report["inputs"]["lambda_min"] == 0.5
-        assert report["value"] == pytest.approx(1.3882811381916991e-2, rel=1e-12)
-
-    def test_1d_rejects_a_non_unit_spectrum(self, tmp_path, capsys):
-        code = run_cli(["bounds", "--dimension", "1d", "--p", "1.0", "--alpha", "1.5",
-                        "--lambda-min", "0.5", "--lambda-max", "2", "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ParameterError"
-        assert "no preconditioned form" in err["message"]
-
     @pytest.mark.parametrize("dimension, unread", [
         ("1d", ["--sigma", "7", "--sigma-min", "5"]),
         ("dd", ["--sigma2", "9"]),
@@ -253,11 +232,20 @@ class TestBounds:
         assert "does not read" in err["message"]
         assert not (out / "bounds.json").exists()
 
-    def test_config_with_the_removed_switch_is_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "c.json", {"dimension": "dd", "general_sigma": True})
-        assert run_cli(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    @pytest.mark.parametrize("command, key", [
+        ("bounds", "general_sigma"),
+        ("bounds", "lambda_min"),
+        ("bounds", "lambda_max"),
+        ("threshold", "lambda_min"),
+        ("threshold", "lambda_max"),
+    ])
+    def test_config_with_the_removed_switch_is_rejected(self, tmp_path, capsys, command, key):
+        cfg = write_config(tmp_path, "c.json", {"p": 1.0, key: 1.0})
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         message = json.loads(capsys.readouterr().err)["message"]
-        assert message == "unknown config keys for 'bounds': general_sigma"
+        assert message == f"unknown config keys for '{command}': {key}"
+        flag = "--" + key.replace("_", "-")
+        assert run_cli([command, "--p", "1", flag, "1", "--out", str(tmp_path / "o")]) == 1
 
     def test_bad_delta_fails(self, tmp_path, capsys):
         code = run_cli(["bounds", "--p", "1.0", "--alpha", "2.0", "--delta1", "1.5",
@@ -283,18 +271,6 @@ class TestThreshold:
         report = json.loads((out / "threshold.json").read_text())
         assert report["no_threshold"] is False
         assert report["threshold_alpha0"] == pytest.approx(1.5, abs=1e-6)
-
-    def test_inverse_direction_honours_the_spectrum(self, tmp_path):
-        out = tmp_path / "out"
-        code = run_cli(["threshold", "--sigma-level", "10", "--p", "1",
-                        "--lambda-min", "0.5", "--lambda-max", "2", "--out", str(out)])
-        assert code == 0
-        report = json.loads((out / "threshold.json").read_text())
-        assert report["no_threshold"] is False
-        found = report["threshold_alpha0"]
-        assert 1.0 < found < 1.9
-        assert stableou.variance_threshold(found, 1.0, 0.5, 2.0) <= 10.0
-        assert stableou.variance_threshold(found - 1e-9, 1.0, 0.5, 2.0) > 10.0
 
     def test_unreachable_level_reports_no_threshold(self, tmp_path):
         out = tmp_path / "out"
@@ -458,6 +434,23 @@ class TestVerifyCharfn:
         assert run_cli(["verify-charfn", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"d": 0}, "d"),
+        ({"d": -1}, "d"),
+        ({"d": 1, "n_points": 0}, "n_points"),
+        ({"d": 2, "n_points": 0}, "n_points"),
+    ])
+    def test_bad_sizes_fail_before_drawing(self, tmp_path, capsys, monkeypatch, payload, key):
+        def no_stream(seed):
+            raise AssertionError("a draw was set up before the sizes were checked")
+
+        monkeypatch.setattr("stableou.cli.RngStream", no_stream)
+        cfg = write_config(tmp_path, "c.json", {"alpha": 1.5, **payload})
+        assert run_cli(["verify-charfn", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert err["message"].startswith(f"{key} must be at least 1")
+
     def test_absurd_tolerance_exits_two_but_writes_report(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(["verify-charfn", "--alpha", "1.5", "--d", "2",
@@ -473,9 +466,9 @@ ACCEPTED_KEYS = {
     "sample": {"kind", "alpha", "sigma", "d", "count", "seed"},
     "simulate": {"alpha", "eta", "steps", "noise_scale", "seed", "n", "d", "a", "data_csv",
                  "allow_unstable"},
-    "bounds": {"R", "n", "p", "alpha", "sigma2", "sigma", "sigma_min", "lambda_min",
-               "lambda_max", "delta1", "delta2", "dimension"},
-    "threshold": {"alpha0", "p", "sigma_level", "lambda_min", "lambda_max"},
+    "bounds": {"R", "n", "p", "alpha", "sigma2", "sigma", "sigma_min", "delta1", "delta2",
+               "dimension"},
+    "threshold": {"alpha0", "p", "sigma_level"},
     "sweep": {"alpha_grid", "a_grid", "d_grid", "n", "population_size", "replications", "p",
               "eta", "steps", "noise_scale", "master_seed", "svg"},
     "estimate-tail": {"input_csv", "K1", "K2", "median_center"},
@@ -497,7 +490,7 @@ def _replay_case(command, tmp_path):
         "simulate": (None, ["--alpha", "1.5", "--eta", "0.05", "--steps", "100", "--n", "30",
                             "--d", "2", "--seed", "5"]),
         "bounds": (None, ["--dimension", "dd", "--p", "1.0", "--alpha", "1.5", "--n", "500",
-                          "--lambda-min", "0.5", "--lambda-max", "2"]),
+                          "--sigma", "0.8", "--sigma-min", "0.6"]),
         "threshold": (None, ["--p", "1.0", "--alpha0", "1.5", "--sigma-level", "300"]),
         "sweep": (SWEEP_CFG, ["--replications", "1"]),
         "verify-charfn": (None, ["--alpha", "1.5", "--d", "2", "--seed", "1"]),
@@ -564,6 +557,21 @@ class TestPlumbing:
         cfg = write_config(tmp_path, "c.json", payload)
         assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "TypeError"
+
+    def test_readme_examples_parse(self):
+        # Runs nothing: each `stableou ...` line in the README's fenced blocks
+        # must name only the subcommands and flags the parser has.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = readme.read_text().split("```")[1::2]
+        examples = [line for block in blocks for line in block.splitlines()
+                    if line.startswith("stableou ")]
+        assert examples
+        parser = _build_parser()
+        for line in examples:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")
 
     def test_benchmark_tracer_wraps_and_restores_existing_names(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"

@@ -63,6 +63,8 @@ class TestConstruction:
             StationaryCharFn(np.eye(2), 2.5)
         with pytest.raises(ShapeError):
             StationaryCharFn(np.ones((2, 3)), 1.5)
+        with pytest.raises(ShapeError):
+            StationaryCharFn(np.zeros((0, 0)), 1.5)
 
     def test_small_asymmetry_is_absorbed(self):
         A = np.array([[2.0, 1e-14], [0.0, 1.0]])
