@@ -23,6 +23,20 @@ from stableou import (
 )
 
 
+# The paper states the threshold for a noise preconditioner with spectrum
+# (lambda_min, lambda_max); it carries an extra -alpha0^2 log(lambda_max / lambda_min).
+# Every chain here is driven by isotropic noise, whose spectrum is (1, 1), so the
+# oracles below keep that general form and check that the implementation agrees
+# with it there.
+ISOTROPIC = [(1.0, 1.0)]
+
+
+def general_log_threshold(a, p, lam):
+    lam_min, lam_max = lam
+    return (1.0 + 2.0 / p - np.log(a) - scipy.special.digamma(1.0 - p / a)
+            - a**2 * math.log(lam_max / lam_min))
+
+
 class TestBoundInputs:
     def test_defaults_and_confidence_floor(self):
         b = BoundInputs(R=1.0, n=100, p=1.0, alpha=1.5)
@@ -46,6 +60,8 @@ class TestBoundInputs:
             {"sigma2": 0.0},
             {"sigma": -1.0},
             {"sigma_min": -0.1},
+            {"sigma": 0.0},
+            {"sigma_min": 0.0},
             {"delta1": -0.1},
             {"delta1": 1.0},
             {"delta2": 0.6},
@@ -200,7 +216,8 @@ class TestThresholdAlpha0:
             threshold_alpha0(10.0, 2.0)
 
     @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.9])
-    def test_threshold_map_strictly_decreases(self, p):
+    @pytest.mark.parametrize("lam", ISOTROPIC)
+    def test_threshold_map_strictly_decreases(self, p, lam):
         # Bisection relies on this. Near p the exponent overflows and the map
         # returns +inf, so the infinite values must form a prefix.
         grid = np.linspace(p, 2.0, 20002)[1:]
@@ -208,12 +225,16 @@ class TestThresholdAlpha0:
         finite = np.isfinite(values)
         assert finite.any() and finite[np.argmax(finite):].all()
         assert np.all(np.diff(np.log(values[finite])) < 0.0)
+        np.testing.assert_allclose(
+            np.log(values[finite]), general_log_threshold(grid[finite], p, lam), rtol=1e-12
+        )
 
     @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("lam", ISOTROPIC)
     @pytest.mark.parametrize("level_factor", [1.5, 30.0, 1e4])
-    def test_matches_a_scipy_first_crossing(self, p, level_factor):
+    def test_matches_a_scipy_first_crossing(self, p, lam, level_factor):
         def log_threshold(a):
-            return 1.0 + 2.0 / p - np.log(a) - scipy.special.digamma(1.0 - p / a)
+            return general_log_threshold(a, p, lam)
 
         level = level_factor * math.exp(log_threshold(2.0))
         grid = np.linspace(p + 1e-4 * (2.0 - p), 2.0, 20001)
@@ -225,10 +246,12 @@ class TestThresholdAlpha0:
         assert threshold_alpha0(level, p) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 1.9])
-    def test_both_edges(self, p):
+    @pytest.mark.parametrize("lam", ISOTROPIC)
+    def test_both_edges(self, p, lam):
         # The map is +inf at the lower edge, so only an infinite level admits it.
         assert threshold_alpha0(math.inf, p) == p + 1e-4 * (2.0 - p)
         at_two = variance_threshold(2.0, p)
+        assert math.log(at_two) == pytest.approx(general_log_threshold(2.0, p, lam), rel=1e-12)
         assert threshold_alpha0(at_two, p) == 2.0
         assert threshold_alpha0(math.nextafter(at_two, 0.0), p) is NO_THRESHOLD
 

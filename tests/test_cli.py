@@ -232,14 +232,15 @@ class TestBounds:
         assert "does not read" in err["message"]
         assert not (out / "bounds.json").exists()
 
-    @pytest.mark.parametrize("command, key", [
-        ("bounds", "general_sigma"),
-        ("bounds", "lambda_min"),
-        ("bounds", "lambda_max"),
-        ("threshold", "lambda_min"),
-        ("threshold", "lambda_max"),
-    ])
-    def test_config_with_the_removed_switch_is_rejected(self, tmp_path, capsys, command, key):
+    def test_config_with_the_removed_switch_is_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"dimension": "dd", "general_sigma": True})
+        assert run_cli(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == "unknown config keys for 'bounds': general_sigma"
+
+    @pytest.mark.parametrize("command", ["bounds", "threshold"])
+    @pytest.mark.parametrize("key", ["lambda_min", "lambda_max"])
+    def test_config_with_a_spectrum_key_is_rejected(self, tmp_path, capsys, command, key):
         cfg = write_config(tmp_path, "c.json", {"p": 1.0, key: 1.0})
         assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         message = json.loads(capsys.readouterr().err)["message"]
