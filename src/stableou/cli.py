@@ -3,8 +3,11 @@
 Each subcommand reads a flat JSON config file, applies any flag overrides,
 runs, and writes a manifest.json capturing the resolved config so the run
 can be reproduced bit-exactly. `_DEFAULTS` is the one declaration of each
-subcommand's config keys: a key outside it is a hard error, a `REQUIRED`
-key must be given, and `None` marks a key that is optional with no default.
+subcommand's config keys and flags. A key maps to its default, or, when it
+has none, to its type: a bare type such as `float` marks a required key and
+`float | None` a key that may stay unset. A key outside the table is a hard
+error. Each key that is not a list is also a flag, `--key` with dashes for
+underscores (and in lower case too, so `--k1` sets `K1`).
 Exit codes: 0 success, 1 validation error, 2 numerical-accuracy error;
 errors are emitted as JSON on stderr.
 """
@@ -61,27 +64,34 @@ from .simulate import (
 from .stationary import StationaryCharFn
 from .tail import estimate_tail_index, median_center
 
-REQUIRED = object()
-
-
 def _dataclass_defaults(cls) -> dict:
-    missing = dataclasses.MISSING
-    return {f.name: REQUIRED if f.default is missing else f.default for f in dataclasses.fields(cls)}
+    types = typing.get_type_hints(cls)
+    return {f.name: types[f.name] if f.default is dataclasses.MISSING else f.default
+            for f in dataclasses.fields(cls)}
 
 
 # n of simulate is required unless data_csv is given; n_points and tolerance
 # of verify-charfn default by mode in _cmd_verify_charfn.
 _DEFAULTS = {
-    "sample": {"kind": "sas", "alpha": REQUIRED, "sigma": 1.0, "d": 1, "count": 1000, "seed": 0},
-    "simulate": {"alpha": REQUIRED, "eta": 0.1, "steps": 3000, "noise_scale": 0.1, "seed": 0,
-                 "n": None, "d": 1, "a": 1.0, "data_csv": None, "allow_unstable": False},
+    "sample": {"kind": "sas", "alpha": float, "sigma": 1.0, "d": 1, "count": 1000, "seed": 0},
+    "simulate": {"alpha": float, "eta": 0.1, "steps": 3000, "noise_scale": 0.1, "seed": 0,
+                 "n": int | None, "d": 1, "a": 1.0, "data_csv": str | None,
+                 "allow_unstable": False},
     "bounds": {**_dataclass_defaults(BoundInputs), "R": 1.0, "n": 1000, "dimension": "1d"},
-    "threshold": {"alpha0": None, "p": REQUIRED, "sigma_level": None},
+    "threshold": {"alpha0": float | None, "p": float, "sigma_level": float | None},
     "sweep": {**_dataclass_defaults(SweepConfig), "svg": True},
-    "estimate-tail": {"input_csv": REQUIRED, "K1": REQUIRED, "K2": REQUIRED, "median_center": False},
-    "verify-charfn": {"alpha": REQUIRED, "d": 1, "s": 1.0, "n_points": None, "u_max": 3.0,
-                      "tolerance": None, "seed": 0},
+    "estimate-tail": {"input_csv": str, "K1": int, "K2": int, "median_center": False},
+    "verify-charfn": {"alpha": float, "d": 1, "n_points": int | None, "u_max": 3.0,
+                      "tolerance": float | None, "seed": 0},
 }
+
+
+def _key_type(entry) -> type:
+    """The type of a key's values, read off its `_DEFAULTS` entry."""
+    if isinstance(entry, type):
+        return entry
+    optional = typing.get_args(entry)
+    return optional[0] if optional else type(entry)
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
@@ -97,16 +107,17 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise ParameterError(f"unknown config keys for '{command}': {', '.join(unknown)}")
     cfg = {}
-    for key, default in table.items():
+    for key, entry in table.items():
         value = getattr(args, key, None)
         if value is None:
             value = given.get(key)
         if value is None:
-            value = default
-        if value is REQUIRED:
-            raise ParameterError(f"missing required config key '{key}'")
-        if value is not None:
-            cfg[key] = value
+            if isinstance(entry, type):
+                raise ParameterError(f"missing required config key '{key}'")
+            if typing.get_args(entry):
+                continue
+            value = entry
+        cfg[key] = value
     return cfg
 
 
@@ -143,19 +154,25 @@ def _read_matrix_csv(path) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
-# The sample settings each kind ignores; setting one away from its default is an error.
+def _reject_unread(command: str, mode: str, cfg: dict, unread: tuple) -> None:
+    """Raises ParameterError if cfg sets a key that `mode` does not read away from its default."""
+    table = _DEFAULTS[command]
+    changed = [f"{key}={cfg[key]}" for key in unread if cfg.get(key, table[key]) != table[key]]
+    if changed:
+        raise ParameterError(f"{mode} does not read {', '.join(unread)}; "
+                             f"got {', '.join(changed)}")
+
+
+# The sample settings each kind ignores.
 _SAMPLE_UNREAD = {"sas": ("d",), "positive": ("sigma", "d"), "isotropic": ()}
 
 
 def _cmd_sample(cfg: dict, out_dir: Path) -> int:
+    """Draw stable random variates to CSV."""
     kind = cfg["kind"]
     if kind not in _SAMPLE_UNREAD:
         raise ParameterError(f"kind must be 'sas', 'positive' or 'isotropic', got {kind!r}")
-    unread = _SAMPLE_UNREAD[kind]
-    changed = [f"{key}={cfg[key]}" for key in unread if cfg[key] != _DEFAULTS["sample"][key]]
-    if changed:
-        raise ParameterError(f"kind {kind!r} does not read {', '.join(unread)}; "
-                             f"got {', '.join(changed)}")
+    _reject_unread("sample", f"kind {kind!r}", cfg, _SAMPLE_UNREAD[kind])
     alpha = float(cfg["alpha"])
     count = int(cfg["count"])
     stream = RngStream(int(cfg["seed"]))
@@ -175,8 +192,10 @@ def _cmd_sample(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
+    """Run one noisy-recursion trajectory."""
     stream = RngStream(int(cfg["seed"]))
     if "data_csv" in cfg:
+        _reject_unread("simulate", "simulate with data_csv", cfg, ("n", "d", "a"))
         data = _read_matrix_csv(cfg["data_csv"])
     elif "n" not in cfg:
         raise ParameterError("missing required config key 'n'")
@@ -202,6 +221,7 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_bounds(cfg: dict, out_dir: Path) -> int:
+    """Evaluate stability upper bounds."""
     dimension = cfg["dimension"]
     if dimension not in ("1d", "dd"):
         raise ParameterError(f"dimension must be '1d' or 'dd', got {dimension!r}")
@@ -221,6 +241,7 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_threshold(cfg: dict, out_dir: Path) -> int:
+    """Variance threshold and its inverse."""
     p = float(cfg["p"])
     report: dict = {"p": p}
     if "alpha0" not in cfg and "sigma_level" not in cfg:
@@ -240,6 +261,7 @@ def _cmd_threshold(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
+    """Replicated generalization-error sweep."""
     sweep = _from_config(SweepConfig, cfg)
     records = run_synthetic_sweep(sweep)
     write_run_records(records, out_dir / "records.csv")
@@ -264,6 +286,7 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_estimate_tail(cfg: dict, out_dir: Path) -> int:
+    """Tail-index estimate from a CSV of vectors."""
     data = _read_matrix_csv(cfg["input_csv"])
     if bool(cfg["median_center"]):
         data = median_center(data)
@@ -279,10 +302,13 @@ def _cmd_estimate_tail(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
+    """Check simulated or quadrature char. fn against closed form."""
     alpha = float(cfg["alpha"])
     d = int(cfg["d"])
     if d < 1:
         raise ParameterError(f"d must be at least 1, got {d}")
+    if d > 1:
+        _reject_unread("verify-charfn", f"verify-charfn at d={d}", cfg, ("u_max",))
     n_points = int(cfg.setdefault("n_points", 25 if d == 1 else 100))
     if n_points < 1:
         raise ParameterError(f"n_points must be at least 1, got {n_points}")
@@ -291,19 +317,18 @@ def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
     rows = []
     gaps = []
     if d == 1:
-        s = float(cfg["s"])
         u_max = float(cfg["u_max"])
-        if not s > 0:
-            raise ParameterError(f"s must be positive, got {s}")
-        # eta * s = 0.1 decorrelates the thinned draws (lag factor 0.9^9 at thinning 9).
-        eta = 0.1 / s
+        # Drift 1 loses nothing: at drift s and step 0.1/s the chain is s^(-1/alpha)
+        # times this one, path by path, which only rescales u. eta = 0.1
+        # decorrelates the thinned draws (lag factor 0.9^9 at thinning 9).
+        eta = 0.1
         steps, n_samples = 100000, 10000
-        problem = QuadraticProblem(math.sqrt(s) * np.ones(100))
+        problem = QuadraticProblem(np.ones(100))
         sim = SimConfig(eta=eta, steps=steps, alpha=alpha, noise_scale=1.0)
         thinning = max(1, (steps - default_burn_in(problem, sim)) // n_samples)
         samples = stationary_sample(problem, sim, stream, n_samples, thinning=thinning)
-        # The chain's exact stationary law: scale^alpha = eta / (1 - |1 - eta s|^alpha).
-        scale_alpha = eta / (1.0 - abs(1.0 - eta * s) ** alpha)
+        # The chain's exact stationary law: scale^alpha = eta / (1 - |1 - eta|^alpha).
+        scale_alpha = eta / (1.0 - abs(1.0 - eta) ** alpha)
         for u in np.linspace(-u_max, u_max, n_points):
             analytic = math.exp(-abs(u) ** alpha * scale_alpha)
             empirical = empirical_char_fn(samples[:, 0], u)
@@ -362,65 +387,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
+    for command, table in _DEFAULTS.items():
+        sp = sub.add_parser(command, help=_HANDLERS[command].__doc__)
         sp.add_argument("--config", type=Path, help="flat JSON config file")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        return sp
-
-    sp = add("sample", "draw stable random variates to CSV")
-    sp.add_argument("--kind", choices=["sas", "positive", "isotropic"])
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--count", type=int)
-    sp.add_argument("--seed", type=int)
-
-    sp = add("simulate", "run one noisy-recursion trajectory")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--noise-scale", type=float, dest="noise_scale")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--data-csv", dest="data_csv")
-
-    sp = add("bounds", "evaluate stability upper bounds")
-    sp.add_argument("--R", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--sigma2", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--sigma-min", type=float, dest="sigma_min")
-    sp.add_argument("--delta1", type=float)
-    sp.add_argument("--delta2", type=float)
-    sp.add_argument("--dimension", choices=["1d", "dd"])
-
-    sp = add("threshold", "variance threshold and its inverse")
-    sp.add_argument("--alpha0", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--sigma-level", type=float, dest="sigma_level")
-
-    sp = add("sweep", "replicated generalization-error sweep")
-    sp.add_argument("--replications", type=int)
-    sp.add_argument("--master-seed", type=int, dest="master_seed")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--n", type=int)
-
-    sp = add("estimate-tail", "tail-index estimate from a CSV of vectors")
-    sp.add_argument("--input-csv", dest="input_csv")
-    sp.add_argument("--k1", type=int, dest="K1")
-    sp.add_argument("--k2", type=int, dest="K2")
-    sp.add_argument("--median-center", action="store_const", const=True, dest="median_center")
-
-    sp = add("verify-charfn", "check simulated or quadrature char. fn against closed form")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--tolerance", type=float)
+        for key, entry in table.items():
+            kind = _key_type(entry)
+            if kind is tuple:
+                continue  # the sweep grids are set in the config file only
+            flag = "--" + key.replace("_", "-")
+            flags = dict.fromkeys([flag, flag.lower()])
+            if kind is bool:
+                sp.add_argument(*flags, dest=key, action=argparse.BooleanOptionalAction)
+            else:
+                sp.add_argument(*flags, dest=key, type=kind)
 
     return parser
 

@@ -309,8 +309,10 @@ def empirical_stability_gap(
 
     theta and theta_hat are coupled stationary draws of the recursion on the
     two datasets; the returned gap is the signed difference at the probe
-    with the largest absolute gap.
+    with the largest absolute gap. `alpha` must be the chain's `sim.alpha`.
     """
+    if sim.alpha != alpha:
+        raise ParameterError(f"alpha={alpha} differs from the chain's sim.alpha={sim.alpha}")
     probes = _gap_probes(pair, probe_points, p, alpha)
     if n_mc < 100:
         warnings.warn(
@@ -318,8 +320,6 @@ def empirical_stability_gap(
             RuntimeWarning,
             stacklevel=2,
         )
-    if sim.alpha != alpha:
-        sim = dataclasses.replace(sim, alpha=alpha)
     theta, theta_hat = _coupled_stationary_draws(pair, sim, n_mc, stream)
     diffs = np.abs(theta @ probes.T) ** p - np.abs(theta_hat @ probes.T) ** p
     gaps = diffs.mean(axis=0)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -162,6 +163,21 @@ class TestSimulate:
         })
         out = tmp_path / "out"
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("unread", [
+        ["--n", "999"], ["--d", "7"], ["--a", "3"], ["--n", "999", "--d", "7", "--a", "3"],
+    ])
+    def test_population_settings_with_data_csv_are_rejected(self, tmp_path, capsys, unread):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("x_1,x_2\n1,2\n3,4\n")
+        out = tmp_path / "out"
+        code = run_cli(["simulate", "--alpha", "1.5", "--data-csv", str(data_csv), *unread,
+                        "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert err["message"].startswith("simulate with data_csv does not read n, d, a; got ")
+        assert not (out / "trajectory.csv").exists()
 
     def test_diverged_run_prints_a_finite_norm(self, tmp_path, capsys):
         # The last kept iterate has coordinates near 1e300, whose squares overflow.
@@ -430,10 +446,27 @@ class TestVerifyCharfn:
         assert report["passed"] is True
         assert report["max_gap"] <= 0.05
 
-    def test_nonpositive_drift_fails(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "c.json", {"alpha": 1.5, "s": 0.0})
+    def test_drift_key_is_rejected(self, tmp_path, capsys):
+        # A drift s only rescales u: the chain at drift s and step 0.1/s is
+        # s^(-1/alpha) times the drift-1 chain, path by path, so u_max covers it.
+        cfg = write_config(tmp_path, "c.json", {"alpha": 1.5, "s": 4.0})
         assert run_cli(["verify-charfn", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert err["message"] == "unknown config keys for 'verify-charfn': s"
+
+    def test_u_max_in_quadrature_mode_fails_before_drawing(self, tmp_path, capsys, monkeypatch):
+        def no_stream(seed):
+            raise AssertionError("a draw was set up before u_max was checked")
+
+        monkeypatch.setattr("stableou.cli.RngStream", no_stream)
+        out = tmp_path / "o"
+        assert run_cli(["verify-charfn", "--alpha", "1.5", "--d", "2", "--u-max", "-7",
+                        "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert err["message"] == "verify-charfn at d=2 does not read u_max; got u_max=-7.0"
+        assert not (out / "verify.json").exists()
 
     @pytest.mark.parametrize("payload, key", [
         ({"d": 0}, "d"),
@@ -473,8 +506,41 @@ ACCEPTED_KEYS = {
     "sweep": {"alpha_grid", "a_grid", "d_grid", "n", "population_size", "replications", "p",
               "eta", "steps", "noise_scale", "master_seed", "svg"},
     "estimate-tail": {"input_csv", "K1", "K2", "median_center"},
-    "verify-charfn": {"alpha", "d", "s", "n_points", "u_max", "tolerance", "seed"},
+    "verify-charfn": {"alpha", "d", "n_points", "u_max", "tolerance", "seed"},
 }
+# The list-valued keys, which have no flag.
+CONFIG_ONLY = {"sweep": {"alpha_grid", "a_grid", "d_grid"}}
+
+# Every flag spelling the hand-written parser had, with the key it sets and the
+# type of the parsed value; each must keep parsing the same way.
+PINNED_FLAGS = [
+    ("sample", "--kind", "isotropic", "kind", str), ("sample", "--alpha", "1.5", "alpha", float),
+    ("sample", "--sigma", "2", "sigma", float), ("sample", "--d", "3", "d", int),
+    ("sample", "--count", "10", "count", int), ("sample", "--seed", "4", "seed", int),
+    ("simulate", "--alpha", "1.5", "alpha", float), ("simulate", "--eta", "0.05", "eta", float),
+    ("simulate", "--steps", "100", "steps", int),
+    ("simulate", "--noise-scale", "0.2", "noise_scale", float),
+    ("simulate", "--seed", "5", "seed", int), ("simulate", "--n", "30", "n", int),
+    ("simulate", "--d", "2", "d", int), ("simulate", "--a", "2", "a", float),
+    ("simulate", "--data-csv", "x.csv", "data_csv", str),
+    ("bounds", "--R", "1.5", "R", float), ("bounds", "--n", "500", "n", int),
+    ("bounds", "--p", "1", "p", float), ("bounds", "--alpha", "1.5", "alpha", float),
+    ("bounds", "--sigma2", "2", "sigma2", float), ("bounds", "--sigma", "0.8", "sigma", float),
+    ("bounds", "--sigma-min", "0.6", "sigma_min", float),
+    ("bounds", "--delta1", "0.1", "delta1", float), ("bounds", "--delta2", "0.1", "delta2", float),
+    ("bounds", "--dimension", "dd", "dimension", str),
+    ("threshold", "--alpha0", "1.5", "alpha0", float), ("threshold", "--p", "1", "p", float),
+    ("threshold", "--sigma-level", "300", "sigma_level", float),
+    ("sweep", "--replications", "2", "replications", int),
+    ("sweep", "--master-seed", "3", "master_seed", int), ("sweep", "--steps", "120", "steps", int),
+    ("sweep", "--n", "40", "n", int),
+    ("estimate-tail", "--input-csv", "x.csv", "input_csv", str),
+    ("estimate-tail", "--k1", "10", "K1", int), ("estimate-tail", "--k2", "20", "K2", int),
+    ("estimate-tail", "--median-center", None, "median_center", bool),
+    ("verify-charfn", "--alpha", "1.5", "alpha", float), ("verify-charfn", "--d", "2", "d", int),
+    ("verify-charfn", "--seed", "1", "seed", int),
+    ("verify-charfn", "--tolerance", "1e-3", "tolerance", float),
+]
 
 
 def _replay_case(command, tmp_path):
@@ -514,12 +580,20 @@ class TestConfigTable:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_every_flag_is_a_config_key(self):
+        # ... and every config key but a list-valued one has a flag.
         parser = _build_parser()
         (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert set(subparsers.choices) == set(_DEFAULTS)
         for command, sp in subparsers.choices.items():
             dests = {a.dest for a in sp._actions} - {"help", "config", "out"}
-            assert dests <= set(_DEFAULTS[command]), command
+            assert dests == set(_DEFAULTS[command]) - CONFIG_ONLY.get(command, set()), command
+
+    @pytest.mark.parametrize("command, flag, value, key, kind", PINNED_FLAGS,
+                             ids=[f"{c}{f}" for c, f, *_ in PINNED_FLAGS])
+    def test_flag_spelling_parses_to_its_key_and_type(self, command, flag, value, key, kind):
+        args = _build_parser().parse_args([command, flag, *([] if value is None else [value])])
+        assert type(getattr(args, key)) is kind
+        assert getattr(args, key) == (True if value is None else kind(value))
 
     @pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
     def test_accepts_exactly_the_same_keys(self, command, tmp_path, capsys):
@@ -535,6 +609,14 @@ class TestConfigTable:
 class TestPlumbing:
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0
+
+    def test_help_lists_every_subcommand_with_its_help(self, capsys):
+        assert run_cli(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert len(_DEFAULTS) == 7
+        for command in _DEFAULTS:
+            # The help text comes from the handler's docstring, on the command's line.
+            assert re.search(rf"^ +{re.escape(command)} +\S", out, re.MULTILINE), command
 
     def test_no_command_is_usage_error(self):
         assert run_cli([]) == 1
@@ -558,6 +640,16 @@ class TestPlumbing:
         cfg = write_config(tmp_path, "c.json", payload)
         assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "TypeError"
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["sample", "--kind", "bogus", "--alpha", "1.5"], "'bogus'"),
+        (["bounds", "--dimension", "xx", "--p", "1", "--alpha", "1.5"], "'xx'"),
+    ])
+    def test_rejected_choice_is_a_json_error(self, argv, bad, tmp_path, capsys):
+        assert run_cli([*argv, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert bad in err["message"]
 
     def test_readme_examples_parse(self):
         # Runs nothing: each `stableou ...` line in the README's fenced blocks

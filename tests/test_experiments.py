@@ -488,6 +488,14 @@ class TestEmpiricalStabilityGap:
         est = empirical_stability_gap(pair, probes, p, alpha, sim, 20000, RngStream(11))
         assert abs(abs(est.gap) - oracle[est.probe_index]) <= 3.0 * est.stderr
 
+    def test_alpha_differing_from_the_chain_is_rejected(self):
+        pair = make_1d_pair()
+        sim = SimConfig(eta=0.05, steps=200, alpha=1.5, noise_scale=1.0)
+        with pytest.raises(ParameterError, match="differs from the chain's sim.alpha"):
+            empirical_stability_gap(
+                pair, default_probe_points(pair, 1.0), 1.0, 1.6, sim, 200, RngStream(0)
+            )
+
     def test_too_coarse_step_rejected(self):
         pair = make_1d_pair()
         sim = SimConfig(eta=1.9, steps=100, alpha=1.5, noise_scale=1.0)
