@@ -8,8 +8,12 @@ has none, to its type: a bare type such as `float` marks a required key and
 `float | None` a key that may stay unset. A key outside the table is a hard
 error. Each key that is not a list is also a flag, `--key` with dashes for
 underscores (and in lower case too, so `--k1` sets `K1`).
-Exit codes: 0 success, 1 validation error, 2 numerical-accuracy error;
-errors are emitted as JSON on stderr.
+`_resolve` types every value, flag or config, by one rule: a float key takes
+any number, an int key an integral number (so `40.0` is 40), a bool key only
+true or false, a str key only a string and a sweep grid only a list; any
+other value is a TypeError naming the key.
+Exit codes: 0 success, 1 validation error, 2 numerical-accuracy error; every
+rejected input, flag or config, is a one-line JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -94,8 +98,25 @@ def _key_type(entry) -> type:
     return optional[0] if optional else type(entry)
 
 
+# What each key type accepts, named for the TypeError.
+_KINDS = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
+          tuple: "a list"}
+
+
+def _typed(key: str, kind: type, value):
+    """value as a `kind`, or a TypeError naming key: the one typing rule of every CLI value."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number:
+        return float(value)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind in (bool, str) and isinstance(value, kind) or kind is tuple and isinstance(value, list):
+        return value
+    raise TypeError(f"config key '{key}' must be {_KINDS[kind]}, got {value!r}")
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
-    """The subcommand's config: each flag over the config file over `_DEFAULTS`."""
+    """The subcommand's config: each flag over the config file over `_DEFAULTS`, typed."""
     table = _DEFAULTS[command]
     given = {}
     if args.config is not None:
@@ -108,23 +129,21 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise ParameterError(f"unknown config keys for '{command}': {', '.join(unknown)}")
     cfg = {}
     for key, entry in table.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = given.get(key)
-        if value is None:
-            if isinstance(entry, type):
-                raise ParameterError(f"missing required config key '{key}'")
-            if typing.get_args(entry):
-                continue
-            value = entry
-        cfg[key] = value
+        # A config value is typed even where a flag overrides it.
+        values = [_typed(key, _key_type(entry), value)
+                  for value in (getattr(args, key, None), given.get(key)) if value is not None]
+        if values:
+            cfg[key] = values[0]
+        elif isinstance(entry, type):
+            raise ParameterError(f"missing required config key '{key}'")
+        elif not typing.get_args(entry):
+            cfg[key] = entry
     return cfg
 
 
 def _from_config(cls, cfg: dict):
-    """The dataclass built from its fields in cfg, each coerced to its annotated type."""
-    types = typing.get_type_hints(cls)
-    return cls(**{f.name: types[f.name](cfg[f.name]) for f in dataclasses.fields(cls)})
+    """The dataclass built from its fields in cfg."""
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
 
 
 def _finish(out_dir: Path, command: str, cfg: dict, outputs: list[str], report=None) -> None:
@@ -173,18 +192,17 @@ def _cmd_sample(cfg: dict, out_dir: Path) -> int:
     if kind not in _SAMPLE_UNREAD:
         raise ParameterError(f"kind must be 'sas', 'positive' or 'isotropic', got {kind!r}")
     _reject_unread("sample", f"kind {kind!r}", cfg, _SAMPLE_UNREAD[kind])
-    alpha = float(cfg["alpha"])
-    count = int(cfg["count"])
-    stream = RngStream(int(cfg["seed"]))
+    alpha, count = cfg["alpha"], cfg["count"]
+    stream = RngStream(cfg["seed"])
     if kind == "sas":
-        data = sample_sas_scalar(StableParams(alpha, float(cfg["sigma"])), stream, size=count)
+        data = sample_sas_scalar(StableParams(alpha, cfg["sigma"]), stream, size=count)
         data = np.asarray(data)[:, None]
     elif kind == "positive":
         data = sample_skewed_positive_stable(alpha, stream, size=count)
         data = np.asarray(data)[:, None]
     else:
-        params = StableParams(alpha, float(cfg["sigma"]))
-        data = sample_isotropic_stable(int(cfg["d"]), params, stream, size=count)
+        params = StableParams(alpha, cfg["sigma"])
+        data = sample_isotropic_stable(cfg["d"], params, stream, size=count)
     _write_csv(out_dir / "samples.csv", [f"x_{j + 1}" for j in range(data.shape[1])], data)
     _finish(out_dir, "sample", cfg, ["samples.csv"])
     print(f"wrote {count} {kind} samples (alpha={alpha}) to {out_dir / 'samples.csv'}")
@@ -193,22 +211,17 @@ def _cmd_sample(cfg: dict, out_dir: Path) -> int:
 
 def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     """Run one noisy-recursion trajectory."""
-    stream = RngStream(int(cfg["seed"]))
+    stream = RngStream(cfg["seed"])
     if "data_csv" in cfg:
         _reject_unread("simulate", "simulate with data_csv", cfg, ("n", "d", "a"))
         data = _read_matrix_csv(cfg["data_csv"])
     elif "n" not in cfg:
         raise ParameterError("missing required config key 'n'")
     else:
-        data = generate_population(float(cfg["a"]), int(cfg["d"]), int(cfg["n"]), stream.fork(0))
+        data = generate_population(cfg["a"], cfg["d"], cfg["n"], stream.fork(0))
     problem = QuadraticProblem(data)
-    sim = SimConfig(
-        eta=float(cfg["eta"]),
-        steps=int(cfg["steps"]),
-        alpha=float(cfg["alpha"]),
-        noise_scale=float(cfg["noise_scale"]),
-        allow_unstable=bool(cfg["allow_unstable"]),
-    )
+    sim = SimConfig(eta=cfg["eta"], steps=cfg["steps"], alpha=cfg["alpha"],
+                    noise_scale=cfg["noise_scale"], allow_unstable=cfg["allow_unstable"])
     traj = euler_maruyama_run(problem, sim, stream=stream.fork(1))
     header = ["step"] + [f"theta_{j + 1}" for j in range(problem.d)]
     rows = ([k, *theta] for k, theta in enumerate(traj.iterates))
@@ -242,16 +255,16 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> int:
 
 def _cmd_threshold(cfg: dict, out_dir: Path) -> int:
     """Variance threshold and its inverse."""
-    p = float(cfg["p"])
+    p = cfg["p"]
     report: dict = {"p": p}
     if "alpha0" not in cfg and "sigma_level" not in cfg:
         raise ParameterError("provide 'alpha0' (forward threshold) or 'sigma_level' (inverse)")
     if "alpha0" in cfg:
-        alpha0 = float(cfg["alpha0"])
+        alpha0 = cfg["alpha0"]
         report["alpha0"] = alpha0
         report["variance_threshold"] = variance_threshold(alpha0, p)
     if "sigma_level" in cfg:
-        level = float(cfg["sigma_level"])
+        level = cfg["sigma_level"]
         found = threshold_alpha0(level, p)
         report["sigma_level"] = level
         report["no_threshold"] = isinstance(found, NoThreshold)
@@ -268,7 +281,7 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
     table = aggregate_median_iqr(records)
     write_aggregate(table, out_dir / "aggregate.csv")
     outputs = ["records.csv", "aggregate.csv"]
-    if bool(cfg["svg"]):
+    if cfg["svg"]:
         for d in sweep.d_grid:
             for a in sweep.a_grid:
                 name = f"sweep_a{a:g}_d{d}.svg"
@@ -288,9 +301,9 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
 def _cmd_estimate_tail(cfg: dict, out_dir: Path) -> int:
     """Tail-index estimate from a CSV of vectors."""
     data = _read_matrix_csv(cfg["input_csv"])
-    if bool(cfg["median_center"]):
+    if cfg["median_center"]:
         data = median_center(data)
-    est = estimate_tail_index(data, int(cfg["K1"]), int(cfg["K2"]))
+    est = estimate_tail_index(data, cfg["K1"], cfg["K2"])
     report = {
         "alpha_hat": est.alpha_hat,
         "K1": est.K1,
@@ -303,21 +316,22 @@ def _cmd_estimate_tail(cfg: dict, out_dir: Path) -> int:
 
 def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
     """Check simulated or quadrature char. fn against closed form."""
-    alpha = float(cfg["alpha"])
-    d = int(cfg["d"])
+    alpha, d, u_max = cfg["alpha"], cfg["d"], cfg["u_max"]
     if d < 1:
         raise ParameterError(f"d must be at least 1, got {d}")
     if d > 1:
         _reject_unread("verify-charfn", f"verify-charfn at d={d}", cfg, ("u_max",))
-    n_points = int(cfg.setdefault("n_points", 25 if d == 1 else 100))
+    elif not u_max > 0:
+        # At u_max = 0 every grid point is u = 0, where both char. fns are 1: no check at all.
+        raise ParameterError(f"u_max must be positive, got {u_max}")
+    n_points = cfg.setdefault("n_points", 25 if d == 1 else 100)
     if n_points < 1:
         raise ParameterError(f"n_points must be at least 1, got {n_points}")
-    tolerance = float(cfg.setdefault("tolerance", 0.05 if d == 1 else 1e-6))
-    stream = RngStream(int(cfg["seed"]))
+    tolerance = cfg.setdefault("tolerance", 0.05 if d == 1 else 1e-6)
+    stream = RngStream(cfg["seed"])
     rows = []
     gaps = []
     if d == 1:
-        u_max = float(cfg["u_max"])
         # Drift 1 loses nothing: at drift s and step 0.1/s the chain is s^(-1/alpha)
         # times this one, path by path, which only rescales u. eta = 0.1
         # decorrelates the thinned draws (lag factor 0.9^9 at thinning 9).
@@ -379,8 +393,15 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParameterError instead of exiting 2."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stableou",
         description="Heavy-tailed OU simulation, stability bounds, and tail estimation",
     )
@@ -406,16 +427,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; keep 2 reserved for accuracy failures.
-        return 0 if exc.code == 0 else 1
-    try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve(args.command, args)
         args.out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](cfg, args.out)
+    except SystemExit as exc:  # only --help and --version exit; a usage error raises
+        return exc.code
     except AccuracyError as exc:
         _emit_error(exc)
         return 2

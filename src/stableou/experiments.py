@@ -64,6 +64,8 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "a_grid", tuple(float(a) for a in self.a_grid))
+        if any(isinstance(d, bool) or not float(d).is_integer() for d in self.d_grid):
+            raise ParameterError(f"d_grid entries must be integers, got {list(self.d_grid)}")
         object.__setattr__(self, "d_grid", tuple(int(d) for d in self.d_grid))
         for name in ("alpha_grid", "a_grid", "d_grid"):
             if len(getattr(self, name)) == 0:

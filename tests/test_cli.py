@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,9 @@ from stableou import (
     generate_population,
     read_run_records,
 )
-from stableou.cli import _DEFAULTS, _build_parser, run_cli
+from stableou.bounds import BoundInputs
+from stableou.cli import _DEFAULTS, _build_parser, _key_type, _typed, run_cli
+from stableou.experiments import SweepConfig
 
 
 def write_config(tmp_path, name, payload):
@@ -352,6 +355,15 @@ class TestSweep:
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(read_run_records(out / "records.csv")) == 4
 
+    def test_non_integral_d_grid_entry_fails(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.json", {**SWEEP_CFG, "d_grid": [2.7]})
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "d_grid" in err["message"]
+        assert not (out / "manifest.json").exists()
+
     def test_group_with_no_finite_median_skips_its_plot(self, tmp_path, capsys):
         # At alpha = 0.01 every replication overflows, so a=2, d=1 has no curve to draw.
         cfg = write_config(tmp_path, "s.json", {
@@ -484,6 +496,27 @@ class TestVerifyCharfn:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
         assert err["message"].startswith(f"{key} must be at least 1")
+
+    @pytest.mark.parametrize("payload, flags", [
+        ({"u_max": 0}, []),
+        ({}, ["--u-max", "0"]),
+        ({}, ["--u-max", "-3"]),
+    ], ids=["config-zero", "flag-zero", "flag-negative"])
+    def test_nonpositive_u_max_fails_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                    payload, flags):
+        # At u_max = 0 every grid point is u = 0, where both char. fns are 1:
+        # the run would pass a check that cannot fail.
+        def no_stream(seed):
+            raise AssertionError("a draw was set up before u_max was checked")
+
+        monkeypatch.setattr("stableou.cli.RngStream", no_stream)
+        cfg = write_config(tmp_path, "c.json", {"alpha": 1.5, **payload})
+        out = tmp_path / "o"
+        assert run_cli(["verify-charfn", "--config", str(cfg), *flags, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert err["message"].startswith("u_max must be positive")
+        assert not (out / "verify.json").exists()
 
     def test_absurd_tolerance_exits_two_but_writes_report(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -708,3 +741,105 @@ class TestPlumbing:
         proc = subprocess.run(command, capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr
         assert json.loads((out / "bounds.json").read_text())["regime"] == "StableSurrogate"
+
+
+# A config each subcommand accepts, with every required key set. Typing fails
+# before any file is read, so input_csv need not exist.
+BASE_CONFIGS = {
+    "sample": {"alpha": 1.5},
+    "simulate": {"alpha": 1.5, "n": 30},
+    "bounds": {"p": 1.0, "alpha": 1.5},
+    "threshold": {"p": 1.0, "alpha0": 1.5},
+    "sweep": SWEEP_CFG,
+    "estimate-tail": {"input_csv": "data.csv", "K1": 10, "K2": 20},
+    "verify-charfn": {"alpha": 1.5},
+}
+# Values of the wrong type for each key type.
+WRONG_VALUES = {float: ["1.5", True, [1.5]], int: ["5", 2.5, True],
+                bool: ["false", 0, 1.0], str: [1, True, ["x"]]}
+SCALAR_KEYS = [(command, key) for command, table in _DEFAULTS.items()
+               for key, entry in table.items() if _key_type(entry) is not tuple]
+
+
+def run_failing(argv, capsys):
+    """The JSON error of a run that must exit 1 on one line of stderr."""
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    return json.loads(err)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("command, key", SCALAR_KEYS, ids=[f"{c}-{k}" for c, k in SCALAR_KEYS])
+    def test_wrongly_typed_config_value_fails_before_any_output(self, command, key, tmp_path,
+                                                                capsys):
+        out = tmp_path / "out"
+        for value in WRONG_VALUES[_key_type(_DEFAULTS[command][key])]:
+            cfg = write_config(tmp_path, "c.json", {**BASE_CONFIGS[command], key: value})
+            err = run_failing([command, "--config", str(cfg), "--out", str(out)], capsys)
+            assert err["error"] == "TypeError", value
+            assert f"'{key}'" in err["message"], value
+            assert not out.exists(), value
+
+    # Each value was accepted and did something other than what it says.
+    @pytest.mark.parametrize("argv, payload, key", [
+        (["sample", "--kind", "isotropic", "--alpha", "1.5"], {"d": 2.7}, "d"),
+        (["bounds", "--p", "1", "--alpha", "1.5"], {"n": 1000.9}, "n"),
+        (["simulate", "--alpha", "1.5", "--n", "30", "--eta", "8"],
+         {"allow_unstable": "false"}, "allow_unstable"),
+        (["sweep"], {**SWEEP_CFG, "svg": "false"}, "svg"),
+        (["simulate", "--alpha", "1.5", "--n", "30"], {"steps": "5"}, "steps"),
+    ], ids=["d-2.7-drew-2-columns", "bounds-n-1000.9-ran-1000",
+            "allow-unstable-string-was-truthy", "svg-string-still-drew",
+            "steps-string-recorded-as-a-string"])
+    def test_value_that_was_silently_converted_is_rejected(self, argv, payload, key, tmp_path,
+                                                           capsys):
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        err = run_failing([*argv, "--config", str(cfg), "--out", str(out)], capsys)
+        assert err["error"] == "TypeError"
+        assert f"'{key}'" in err["message"]
+        assert not out.exists()
+
+    def test_config_value_is_typed_even_where_a_flag_overrides_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"alpha": "1.5"})
+        out = tmp_path / "out"
+        err = run_failing(["sample", "--config", str(cfg), "--alpha", "1.5", "--out", str(out)],
+                          capsys)
+        assert err["error"] == "TypeError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--d", "abc"], "--d"),
+        (["--bogus", "1"], "--bogus"),
+    ], ids=["unparsable-value", "unknown-flag"])
+    def test_flag_that_does_not_parse_is_a_json_error(self, flags, named, tmp_path, capsys):
+        out = tmp_path / "out"
+        err = run_failing(["sample", "--alpha", "1.5", *flags, "--out", str(out)], capsys)
+        assert err["error"] == "ParameterError"
+        assert named in err["message"]
+        assert not out.exists()
+
+    def test_version_exits_zero(self, capsys):
+        assert run_cli(["--version"]) == 0
+        assert stableou.__version__ in capsys.readouterr().out
+
+    def test_manifest_records_each_value_as_its_key_type(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"alpha": 1, "n": 40.0, "steps": 10})
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        config = read_manifest(out)["config"]
+        assert type(config["alpha"]) is float and config["alpha"] == 1.0
+        assert type(config["n"]) is int and config["n"] == 40
+
+    def test_every_default_has_its_key_type(self):
+        for command, table in _DEFAULTS.items():
+            for key, entry in table.items():
+                if isinstance(entry, type) or typing.get_args(entry):
+                    continue  # no default
+                typed = _typed(key, _key_type(entry), entry)
+                assert typed == entry and type(typed) is type(entry), (command, key)
+        # A dataclass default such as `p: float = 1` would make its key an int key.
+        for command, cls in (("bounds", BoundInputs), ("sweep", SweepConfig)):
+            for key, kind in typing.get_type_hints(cls).items():
+                assert _key_type(_DEFAULTS[command][key]) is kind, (command, key)

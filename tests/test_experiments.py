@@ -84,6 +84,15 @@ class TestSweepConfig:
         with pytest.raises(ParameterError):
             SweepConfig(**bad)
 
+    @pytest.mark.parametrize("d_grid", [(2.7,), (True,), (2, 2.5)])
+    def test_d_grid_entry_that_is_not_an_integer_is_rejected(self, d_grid):
+        # It was truncated: (2.7,) ran d = 2 and (True,) ran d = 1.
+        with pytest.raises(ParameterError, match="d_grid entries must be integers"):
+            SweepConfig(**{**TINY_SWEEP, "d_grid": d_grid})
+
+    def test_integral_float_d_grid_entry_becomes_an_int(self):
+        assert SweepConfig(**{**TINY_SWEEP, "d_grid": (3.0,)}).d_grid == (3,)
+
 
 class TestPopulationAndRisk:
     def test_population_shape_and_support(self):
