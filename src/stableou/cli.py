@@ -9,9 +9,9 @@ has none, to its type: a bare type such as `float` marks a required key and
 error. Each key that is not a list is also a flag, `--key` with dashes for
 underscores (and in lower case too, so `--k1` sets `K1`).
 `_resolve` types every value, flag or config, by one rule: a float key takes
-any number, an int key an integral number (so `40.0` is 40), a bool key only
-true or false, a str key only a string and a sweep grid only a list; any
-other value is a TypeError naming the key.
+a number within float range, not nan or inf; an int key an integral number
+(so `40.0` is 40); a bool key only true or false, a str key only a string and
+a sweep grid only a list; any other value is a TypeError naming the key.
 Exit codes: 0 success, 1 validation error, 2 numerical-accuracy error; every
 rejected input, flag or config, is a one-line JSON error on stderr.
 """
@@ -99,14 +99,14 @@ def _key_type(entry) -> type:
 
 
 # What each key type accepts, named for the TypeError.
-_KINDS = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string",
           tuple: "a list"}
 
 
 def _typed(key: str, kind: type, value):
     """value as a `kind`, or a TypeError naming key: the one typing rule of every CLI value."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is float and number:
+    if kind is float and number and abs(value) <= sys.float_info.max:
         return float(value)
     if kind is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
@@ -437,7 +437,7 @@ def run_cli(argv=None) -> int:
     except AccuracyError as exc:
         _emit_error(exc)
         return 2
-    except (StableOUError, ValueError, TypeError, KeyError, OSError) as exc:
+    except (StableOUError, ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
         _emit_error(exc)
         return 1
 

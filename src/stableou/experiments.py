@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -62,18 +64,19 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
-        object.__setattr__(self, "a_grid", tuple(float(a) for a in self.a_grid))
-        if any(isinstance(d, bool) or not float(d).is_integer() for d in self.d_grid):
-            raise ParameterError(f"d_grid entries must be integers, got {list(self.d_grid)}")
-        object.__setattr__(self, "d_grid", tuple(int(d) for d in self.d_grid))
-        for name in ("alpha_grid", "a_grid", "d_grid"):
-            if len(getattr(self, name)) == 0:
+        for name, kind in (("alpha_grid", float), ("a_grid", float), ("d_grid", int)):
+            grid = tuple(getattr(self, name))
+            # abs(x) <= max fails for nan, +-inf and an int beyond float range alike.
+            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                       and abs(x) <= sys.float_info.max
+                       and (kind is float or float(x).is_integer()) for x in grid):
+                noun = "finite numbers" if kind is float else "integers"
+                raise ParameterError(f"{name} entries must be {noun}, got {list(grid)}")
+            if len(grid) == 0:
                 raise ParameterError(f"{name} must be nonempty")
-            if len(set(getattr(self, name))) != len(getattr(self, name)):
+            if len(set(grid)) != len(grid):
                 raise ParameterError(f"{name} has duplicate entries")
-        if any(not (0.0 < a <= 2.0) for a in self.alpha_grid):
-            raise ParameterError("alpha_grid entries must lie in (0, 2]")
+            object.__setattr__(self, name, tuple(kind(x) for x in grid))
         if any(a <= 0 for a in self.a_grid):
             raise ParameterError("a_grid entries must be positive")
         if any(d < 1 for d in self.d_grid):
@@ -88,12 +91,8 @@ class SweepConfig:
             raise ParameterError(f"replications must be positive, got {self.replications}")
         if not (1.0 <= self.p <= 2.0):
             raise ParameterError(f"p must lie in [1, 2], got {self.p}")
-        if not self.eta > 0:
-            raise ParameterError(f"eta must be positive, got {self.eta}")
-        if self.steps < 1:
-            raise ParameterError(f"steps must be positive, got {self.steps}")
-        if self.noise_scale < 0:
-            raise ParameterError(f"noise_scale must be nonnegative, got {self.noise_scale}")
+        for alpha in self.alpha_grid:  # SimConfig checks each chain as _grid_point_records runs it
+            SimConfig(eta=self.eta, steps=self.steps, alpha=alpha, noise_scale=self.noise_scale)
 
 
 @dataclass(frozen=True)

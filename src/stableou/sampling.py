@@ -132,16 +132,11 @@ def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, siz
     gen = stream.generator
     alpha, sigma = params.alpha, params.sigma
 
-    a = None if alpha == 2.0 else sample_skewed_positive_stable(alpha / 2.0, stream, size=n)
-    return _subordinated_gaussian(a, gen.standard_normal((n, d)), sigma)
-
-
-def _subordinated_gaussian(a, g, sigma: float) -> np.ndarray:
-    """sigma * sqrt(2 a_k) * g_k for each row k of g; sigma * sqrt(2) * g when a is None (alpha=2)."""
-    if a is None:
-        return sigma * np.sqrt(2.0) * g
+    if alpha == 2.0:
+        return sigma * np.sqrt(2.0) * gen.standard_normal((n, d))
+    a = sample_skewed_positive_stable(alpha / 2.0, stream, size=n)
     with np.errstate(over="ignore", invalid="ignore"):
-        return sigma * np.sqrt(2.0 * a)[:, None] * g
+        return sigma * np.sqrt(2.0 * a)[:, None] * gen.standard_normal((n, d))
 
 
 def empirical_char_fn(samples, u) -> complex:

@@ -21,12 +21,7 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError, ShapeError
 from .rng import RngStream
-from .sampling import (
-    StableParams,
-    _subordinated_gaussian,
-    sample_isotropic_stable,
-    sample_skewed_positive_stable,
-)
+from .sampling import StableParams, sample_isotropic_stable, sample_skewed_positive_stable
 
 OVERFLOW_LIMIT = 1e300
 
@@ -198,19 +193,15 @@ def _stepped_path(theta0, A, eta, shocks) -> tuple[np.ndarray, bool]:
 
 
 def _driving_noise(d: int, config: SimConfig, stream: RngStream | None, size: int) -> np.ndarray:
-    """The (size, d) shocks eta^(1/alpha) * noise_scale * E_k, drawn from ``stream``."""
+    """The (size, d) shocks eta^(1/alpha) * noise_scale * E_k from ``stream``, inf on overflow."""
     if config.noise_scale == 0.0:
         return np.zeros((size, d))
     if stream is None:
         raise ParameterError("a stream is required when noise_scale > 0")
     e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=size)
-    return _scaled(config, e)
-
-
-def _scaled(config: SimConfig, e: np.ndarray) -> np.ndarray:
-    """eta^(1/alpha) * noise_scale * e, the shocks of unit-scale draws e."""
-    with np.errstate(over="ignore"):
-        return (config.eta ** (1.0 / config.alpha)) * (config.noise_scale * e)
+    # The array comes first so that numpy writes the product into its temporary.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return config.noise_scale * e * np.float64(config.eta) ** (1.0 / config.alpha)
 
 
 def euler_maruyama_run(
@@ -251,10 +242,10 @@ def final_iterate(
     s_k^2 = 2 eta^(2/alpha) noise_scale^2 A_k and v = sum_k (m^2)^(T-1-k) s_k^2.
     It shares its law with ``euler_maruyama_run``, not its noise. That law is
     drawn when every |m_i| <= 1 and sum_k s_k^2 < OVERFLOW_LIMIT, so that sum
-    bounds every iterate's variance. Otherwise the (T, d) Gaussians follow
-    the A_k as in sample_isotropic_stable, every step of the recursion runs
-    and one scan cuts the path as in ``euler_maruyama_run``: theta and the
-    flag are then that function's at the same stream, bit for bit.
+    bounds every iterate's variance. Otherwise the stream is rewound to
+    where the A_k were drawn and the Euler path is stepped from it as in
+    ``euler_maruyama_run``: theta, the flag and the stream's end state are
+    then that function's at the same stream, bit for bit.
     """
     check_step_size(problem, config)
     d, T, alpha = problem.d, config.steps, config.alpha
@@ -262,17 +253,19 @@ def final_iterate(
         return np.zeros(d), False
     if stream is None:
         raise ParameterError("a stream is required when noise_scale > 0")
+    gen = stream.generator
+    start = gen.bit_generator.state
     a = None if alpha == 2.0 else sample_skewed_positive_stable(alpha / 2.0, stream, size=T)
     m = 1.0 - config.eta * problem.eigenvalues
-    scale = config.eta ** (1.0 / alpha) * config.noise_scale
     with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.float64(config.eta) ** (1.0 / alpha) * config.noise_scale
         s2 = (np.full(T, 2.0) if a is None else 2.0 * a) * scale * scale
         certified = np.all(np.abs(m) <= 1.0) and s2.sum() < OVERFLOW_LIMIT
-    gen = stream.generator
     if certified:
         v = _variance(m * m, s2)
         return problem.eigenvectors @ (np.sqrt(v) * gen.standard_normal(d)), False
-    noise = _scaled(config, _subordinated_gaussian(a, gen.standard_normal((T, d)), 1.0))
+    gen.bit_generator.state = start
+    noise = _driving_noise(d, config, stream, T)
     path, diverged = _stepped_path(np.zeros(d), problem.A, config.eta, noise)
     return path[-1], diverged
 

@@ -195,6 +195,13 @@ class TestSimulate:
         assert stdout.startswith("diverged: 1430 steps, final iterate norm ")
         assert 1e299 < float(stdout.split()[-1]) < math.inf
 
+    def test_shock_scale_beyond_float_range_is_divergence(self, tmp_path, capsys):
+        # eta^(1/alpha) = 3^1000 raised OverflowError as a Python float.
+        code = run_cli(["simulate", "--alpha", "0.001", "--eta", "3", "--n", "10", "--d", "1",
+                        "--a", "0.1", "--steps", "10", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("diverged: 0 steps, ")
+
     def test_unstable_step_fails(self, tmp_path, capsys):
         code = run_cli([
             "simulate", "--alpha", "2.0", "--eta", "50.0", "--steps", "50",
@@ -363,6 +370,29 @@ class TestSweep:
         assert err["error"] == "ParameterError"
         assert "d_grid" in err["message"]
         assert not (out / "manifest.json").exists()
+
+    def test_grid_entry_of_the_wrong_type_fails(self, tmp_path, capsys):
+        # It ran alpha = 1, a = 1.5 and d = 2.
+        cfg = write_config(tmp_path, "s.json",
+                           {"alpha_grid": [True], "a_grid": ["1.5"], "d_grid": ["2"]})
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert err["message"].startswith("alpha_grid entries must be finite numbers")
+        assert not (out / "manifest.json").exists()
+
+    def test_shock_scale_beyond_float_range_is_a_diverged_record(self, tmp_path, capsys):
+        # eta^(1/alpha) = 3^1000 raised OverflowError as a Python float.
+        cfg = write_config(tmp_path, "s.json", {
+            "alpha_grid": [0.001], "a_grid": [0.1], "d_grid": [1], "n": 10,
+            "population_size": 20, "replications": 1, "eta": 3.0, "steps": 10,
+        })
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "wrote 1 records (1 diverged)" in capsys.readouterr().out
+        [record] = read_run_records(out / "records.csv")
+        assert record.diverged and math.isnan(record.gen_error)
 
     def test_group_with_no_finite_median_skips_its_plot(self, tmp_path, capsys):
         # At alpha = 0.01 every replication overflows, so a=2, d=1 has no curve to draw.
@@ -755,7 +785,8 @@ BASE_CONFIGS = {
     "verify-charfn": {"alpha": 1.5},
 }
 # Values of the wrong type for each key type.
-WRONG_VALUES = {float: ["1.5", True, [1.5]], int: ["5", 2.5, True],
+WRONG_VALUES = {float: ["1.5", True, [1.5], math.nan, math.inf, -math.inf, 10**400],
+                int: ["5", 2.5, True],
                 bool: ["false", 0, 1.0], str: [1, True, ["x"]]}
 SCALAR_KEYS = [(command, key) for command, table in _DEFAULTS.items()
                for key, entry in table.items() if _key_type(entry) is not tuple]
@@ -789,9 +820,12 @@ class TestValueTypes:
          {"allow_unstable": "false"}, "allow_unstable"),
         (["sweep"], {**SWEEP_CFG, "svg": "false"}, "svg"),
         (["simulate", "--alpha", "1.5", "--n", "30"], {"steps": "5"}, "steps"),
+        (["verify-charfn", "--alpha", "1.5", "--d", "2", "--tolerance", "inf"], {}, "tolerance"),
+        (["simulate", "--alpha", "1.5", "--n", "30", "--noise-scale", "inf"], {}, "noise_scale"),
     ], ids=["d-2.7-drew-2-columns", "bounds-n-1000.9-ran-1000",
             "allow-unstable-string-was-truthy", "svg-string-still-drew",
-            "steps-string-recorded-as-a-string"])
+            "steps-string-recorded-as-a-string", "tolerance-inf-passed-a-check-that-cannot-fail",
+            "noise-scale-inf-completed"])
     def test_value_that_was_silently_converted_is_rejected(self, argv, payload, key, tmp_path,
                                                            capsys):
         cfg = write_config(tmp_path, "c.json", payload)
@@ -800,6 +834,17 @@ class TestValueTypes:
         assert err["error"] == "TypeError"
         assert f"'{key}'" in err["message"]
         assert not out.exists()
+
+    def test_memory_error_is_a_json_error(self, tmp_path, capsys, monkeypatch):
+        def no_memory(params, stream, size):
+            raise MemoryError(f"cannot allocate {size} samples")
+
+        monkeypatch.setattr("stableou.cli.sample_sas_scalar", no_memory)
+        cfg = write_config(tmp_path, "c.json", {"alpha": 1.5, "count": 1e18})
+        err = run_failing(["sample", "--config", str(cfg), "--out", str(tmp_path / "out")],
+                          capsys)
+        assert err == {"error": "MemoryError",
+                       "message": "cannot allocate 1000000000000000000 samples"}
 
     def test_config_value_is_typed_even_where_a_flag_overrides_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"alpha": "1.5"})

@@ -76,6 +76,7 @@ class TestSweepConfig:
             {"eta": 0.0},
             {"steps": 0},
             {"noise_scale": -1.0},
+            {"noise_scale": math.nan},  # passed, then failed at the first replication
         ],
     )
     def test_validation(self, override):
@@ -84,11 +85,20 @@ class TestSweepConfig:
         with pytest.raises(ParameterError):
             SweepConfig(**bad)
 
-    @pytest.mark.parametrize("d_grid", [(2.7,), (True,), (2, 2.5)])
+    @pytest.mark.parametrize("d_grid", [(2.7,), (True,), (2, 2.5), ("2",), (math.inf,),
+                                        (math.nan,), (10**400,)])
     def test_d_grid_entry_that_is_not_an_integer_is_rejected(self, d_grid):
         # It was truncated: (2.7,) ran d = 2 and (True,) ran d = 1.
         with pytest.raises(ParameterError, match="d_grid entries must be integers"):
             SweepConfig(**{**TINY_SWEEP, "d_grid": d_grid})
+
+    @pytest.mark.parametrize("name", ["alpha_grid", "a_grid"])
+    @pytest.mark.parametrize("entry", [True, "1.5", math.inf, -math.inf, math.nan, 10**400],
+                             ids=["true", "string", "inf", "-inf", "nan", "10**400"])
+    def test_grid_entry_that_is_not_a_finite_number_is_rejected(self, name, entry):
+        # True ran 1.0 and "1.5" ran 1.5; an inf a or a 10**400 raised OverflowError.
+        with pytest.raises(ParameterError, match=f"{name} entries must be finite numbers"):
+            SweepConfig(**{**TINY_SWEEP, name: (1.5, entry)})
 
     def test_integral_float_d_grid_entry_becomes_an_int(self):
         assert SweepConfig(**{**TINY_SWEEP, "d_grid": (3.0,)}).d_grid == (3,)

@@ -245,12 +245,26 @@ class TestFinalIterate:
             eta=contraction / prob.lambda_max, steps=3000, alpha=alpha, noise_scale=noise_scale,
             allow_unstable=True,
         )
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "eta \\* lambda_max", UserWarning)
-            traj = euler_maruyama_run(prob, cfg, stream=RngStream(12))
-            theta, diverged = final_iterate(prob, cfg, RngStream(12))
-        assert diverged == traj.diverged == diverges
-        np.testing.assert_array_equal(theta, traj.final)
+        # A fresh stream, and one that has drawn already: the fallback rewinds to
+        # where final_iterate began drawing, not to the stream's seed.
+        for predrawn in (0, 5):
+            loop_stream, stream = RngStream(12), RngStream(12)
+            loop_stream.generator.standard_normal(predrawn)
+            stream.generator.standard_normal(predrawn)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "eta \\* lambda_max", UserWarning)
+                traj = euler_maruyama_run(prob, cfg, stream=loop_stream)
+                theta, diverged = final_iterate(prob, cfg, stream)
+            assert diverged == traj.diverged == diverges
+            np.testing.assert_array_equal(theta, traj.final)
+            assert stream.generator.bit_generator.state == loop_stream.generator.bit_generator.state
+
+    def test_unstable_step_warns_once_in_the_fallback(self):
+        prob = make_problem(seed=9, n=40, d=4)
+        cfg = SimConfig(eta=2.5 / prob.lambda_max, steps=100, alpha=1.5, allow_unstable=True)
+        with pytest.warns(UserWarning, match="eta \\* lambda_max") as record:
+            final_iterate(prob, cfg, RngStream(12))
+        assert len(record) == 1
 
 
 def stepped_with_a_check(prob, cfg, theta0, stream):
@@ -289,6 +303,9 @@ UNIT_DRIFT = QuadraticProblem(np.ones(4))  # A = 1
                                                     noise_scale=1e298), [0.0] * 4),
         # A run that stays in range keeps every step.
         (make_problem(seed=9, n=40, d=4), SimConfig(eta=0.1, steps=500, alpha=1.5), [1.0] * 4),
+        # eta^(1/alpha) = 3^1000 is past float range, so every shock is infinite;
+        # as a Python float it raised OverflowError.
+        (QuadraticProblem(np.full(10, 0.05)), SimConfig(eta=3.0, steps=10, alpha=0.001), [0.0]),
     ],
 )
 def test_one_scan_cuts_where_a_per_step_check_stops(prob, cfg, theta0):
