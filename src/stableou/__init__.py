@@ -8,7 +8,7 @@ threshold, estimates tail indices from iterates, and runs the seeded
 synthetic generalization experiments.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 import types as _types
 

@@ -146,15 +146,29 @@ def _from_config(cls, cfg: dict):
     return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
 
 
+def _output(out_dir: Path, name: str) -> Path:
+    """out_dir / name, creating out_dir on the first write.
+
+    Every output goes through here, so an input a handler rejects leaves no directory.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
+def _dumps(obj) -> str:
+    # allow_nan=False: a non-finite value is a ValueError, never JSON's invalid NaN or Infinity.
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _finish(out_dir: Path, command: str, cfg: dict, outputs: list[str], report=None) -> None:
     """Prints the report, if any, and writes it to outputs[0]; then writes the manifest."""
     if report is not None:
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = _dumps(report)
         print(text)
-        (out_dir / outputs[0]).write_text(text + "\n")
+        _output(out_dir, outputs[0]).write_text(text + "\n")
     manifest = {"artifact_version": __version__, "subcommand": command, "config": cfg,
                 "outputs": sorted(outputs)}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _output(out_dir, "manifest.json").write_text(_dumps(manifest) + "\n")
 
 
 def _read_matrix_csv(path) -> np.ndarray:
@@ -203,7 +217,7 @@ def _cmd_sample(cfg: dict, out_dir: Path) -> int:
     else:
         params = StableParams(alpha, cfg["sigma"])
         data = sample_isotropic_stable(cfg["d"], params, stream, size=count)
-    _write_csv(out_dir / "samples.csv", [f"x_{j + 1}" for j in range(data.shape[1])], data)
+    _write_csv(_output(out_dir, "samples.csv"), [f"x_{j + 1}" for j in range(data.shape[1])], data)
     _finish(out_dir, "sample", cfg, ["samples.csv"])
     print(f"wrote {count} {kind} samples (alpha={alpha}) to {out_dir / 'samples.csv'}")
     return 0
@@ -225,7 +239,7 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     traj = euler_maruyama_run(problem, sim, stream=stream.fork(1))
     header = ["step"] + [f"theta_{j + 1}" for j in range(problem.d)]
     rows = ([k, *theta] for k, theta in enumerate(traj.iterates))
-    _write_csv(out_dir / "trajectory.csv", header, rows)
+    _write_csv(_output(out_dir, "trajectory.csv"), header, rows)
     _finish(out_dir, "simulate", cfg, ["trajectory.csv"])
     status = "diverged" if traj.diverged else "completed"
     # hypot scales its arguments, so a diverged iterate near 1e300 does not overflow.
@@ -262,7 +276,10 @@ def _cmd_threshold(cfg: dict, out_dir: Path) -> int:
     if "alpha0" in cfg:
         alpha0 = cfg["alpha0"]
         report["alpha0"] = alpha0
-        report["variance_threshold"] = variance_threshold(alpha0, p)
+        # +inf (alpha0 near p) is meant; JSON spells it null with the flag set.
+        level = variance_threshold(alpha0, p)
+        report["variance_threshold_infinite"] = math.isinf(level)
+        report["variance_threshold"] = None if math.isinf(level) else level
     if "sigma_level" in cfg:
         level = cfg["sigma_level"]
         found = threshold_alpha0(level, p)
@@ -277,16 +294,16 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
     """Replicated generalization-error sweep."""
     sweep = _from_config(SweepConfig, cfg)
     records = run_synthetic_sweep(sweep)
-    write_run_records(records, out_dir / "records.csv")
+    write_run_records(records, _output(out_dir, "records.csv"))
     table = aggregate_median_iqr(records)
-    write_aggregate(table, out_dir / "aggregate.csv")
+    write_aggregate(table, _output(out_dir, "aggregate.csv"))
     outputs = ["records.csv", "aggregate.csv"]
     if cfg["svg"]:
         for d in sweep.d_grid:
             for a in sweep.a_grid:
                 name = f"sweep_a{a:g}_d{d}.svg"
                 try:
-                    write_sweep_svg(table, out_dir / name, a, d)
+                    write_sweep_svg(table, _output(out_dir, name), a, d)
                 except ShapeError as exc:
                     # No alpha of this (a, d) has a finite median: there is no curve to draw.
                     print(f"skipped {name}: {exc}")
@@ -371,7 +388,7 @@ def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
         "tolerance": tolerance,
         "passed": passed,
     }
-    _write_csv(out_dir / "verify.csv", header, rows)
+    _write_csv(_output(out_dir, "verify.csv"), header, rows)
     _finish(out_dir, "verify-charfn", cfg, ["verify.json", "verify.csv"], report)
     if not passed:
         raise AccuracyError(
@@ -430,14 +447,14 @@ def run_cli(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve(args.command, args)
-        args.out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](cfg, args.out)
     except SystemExit as exc:  # only --help and --version exit; a usage error raises
         return exc.code
     except AccuracyError as exc:
         _emit_error(exc)
         return 2
-    except (StableOUError, ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
+    except (StableOUError, ValueError, TypeError, KeyError, OSError, MemoryError,
+            OverflowError) as exc:
         _emit_error(exc)
         return 1
 

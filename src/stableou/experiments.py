@@ -184,52 +184,62 @@ def generalization_error(theta, train, population, p: float) -> float:
         return abs(surrogate_risk(theta, train, p) - surrogate_risk(theta, population, p))
 
 
-def _grid_point_records(cfg: SweepConfig, di: int, ai: int, jobs) -> list[RunRecord]:
-    """The records of (alpha, replication, seed) jobs at grid point (d_grid[di], a_grid[ai]).
+def _grid_point_records(
+    cfg: SweepConfig, di: int, ai: int, alphas, replications
+) -> list[RunRecord]:
+    """The records of every alpha x (replication, seed) at grid point (d_grid[di], a_grid[ai]).
 
-    Every job's final iterate and train risk come first; one surrogate_risk
-    call then scores all of them on the population, a diverged iterate as
-    a zero row. The population is this call's alone, so it is freed on return.
+    The alphas of a replication share its seed (common random numbers): one
+    training resample and QuadraticProblem, and for each alpha a fresh
+    fork(1), from which final_iterate draws the same h, uniforms and
+    exponentials. One surrogate_risk call per replication scores the train
+    risks, and one more scores every iterate on the population, a diverged
+    one as a zero row. The population is this call's alone, so it is freed
+    on return. Records come alpha-major.
     """
     d, a = cfg.d_grid[di], cfg.a_grid[ai]
     pop_stream = RngStream(_derive_seed(cfg.master_seed, (di, ai)))
     population = generate_population(a, d, cfg.population_size, pop_stream)
-    thetas = np.zeros((len(jobs), d))
-    # A diverged job keeps a NaN train risk, so its gen_error is NaN.
-    train_risks = np.full(len(jobs), np.nan)
-    for j, (alpha, _, seed) in enumerate(jobs):
+    thetas = np.zeros((len(replications), len(alphas), d))
+    # A diverged iterate gets a NaN train risk, so its gen_error is NaN.
+    train_risks = np.full((len(replications), len(alphas)), np.nan)
+    for i, (_, seed) in enumerate(replications):
         stream = RngStream(seed)
         idx = stream.fork(0).generator.integers(0, cfg.population_size, size=cfg.n)
         train = population[idx]
-        sim = SimConfig(eta=cfg.eta, steps=cfg.steps, alpha=alpha, noise_scale=cfg.noise_scale)
-        theta, diverged = final_iterate(QuadraticProblem(train), sim, stream.fork(1))
-        if not diverged:
-            thetas[j] = theta
-            train_risks[j] = surrogate_risk(theta, train, cfg.p)
+        problem = QuadraticProblem(train)
+        ok = np.zeros(len(alphas), dtype=bool)
+        for k, alpha in enumerate(alphas):
+            sim = SimConfig(eta=cfg.eta, steps=cfg.steps, alpha=alpha, noise_scale=cfg.noise_scale)
+            theta, diverged = final_iterate(problem, sim, stream.fork(1))
+            if not diverged:
+                thetas[i, k], ok[k] = theta, True
+        train_risks[i, ok] = surrogate_risk(thetas[i], train, cfg.p)[ok]
     with np.errstate(invalid="ignore"):
-        gens = np.abs(train_risks - surrogate_risk(thetas, population, cfg.p))
+        pop_risks = surrogate_risk(thetas.reshape(-1, d), population, cfg.p)
+        gens = np.abs(train_risks - pop_risks.reshape(train_risks.shape))
     return [
         RunRecord(r, alpha, a, d, cfg.n, cfg.p, seed, gen, not math.isfinite(gen))
-        for (alpha, r, seed), gen in zip(jobs, gens)
+        for k, alpha in enumerate(alphas)
+        for (r, seed), gen in zip(replications, gens[:, k])
     ]
 
 
 def run_synthetic_sweep(cfg: SweepConfig) -> list[RunRecord]:
     """One RunRecord per (grid point x replication), in canonical grid order.
 
-    Every record's randomness derives from its own stored seed (population
-    draws are keyed by the grid point), so any execution schedule produces
-    the identical record set. One population is alive at a time.
+    Every record's randomness derives from its stored seed, keyed by grid
+    point and replication and shared by every alpha (population draws are
+    keyed by the grid point), so any execution schedule produces the
+    identical record set. One population is alive at a time.
     """
     records = []
     for di in range(len(cfg.d_grid)):
         for ai in range(len(cfg.a_grid)):
-            jobs = [
-                (alpha, r, _derive_seed(cfg.master_seed, (di, ai, ki, r)))
-                for ki, alpha in enumerate(cfg.alpha_grid)
-                for r in range(cfg.replications)
+            replications = [
+                (r, _derive_seed(cfg.master_seed, (di, ai, r))) for r in range(cfg.replications)
             ]
-            records += _grid_point_records(cfg, di, ai, jobs)
+            records += _grid_point_records(cfg, di, ai, cfg.alpha_grid, replications)
     return records
 
 
@@ -237,7 +247,7 @@ def replay_record(cfg: SweepConfig, record: RunRecord) -> RunRecord:
     """Recompute a record from its stored seed; must match the original bit-exactly."""
     di = cfg.d_grid.index(record.d)
     ai = cfg.a_grid.index(record.a)
-    return _grid_point_records(cfg, di, ai, [(record.alpha, record.replication, record.seed)])[0]
+    return _grid_point_records(cfg, di, ai, [record.alpha], [(record.replication, record.seed)])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -240,12 +240,15 @@ def final_iterate(
     Given the T draws A_k, and in the eigenbasis A = Q diag(lambda) Q^T,
     theta_T = Q (sqrt(v) * h) with h ~ N(0, I_d), m = 1 - eta * lambda,
     s_k^2 = 2 eta^(2/alpha) noise_scale^2 A_k and v = sum_k (m^2)^(T-1-k) s_k^2.
-    It shares its law with ``euler_maruyama_run``, not its noise. That law is
-    drawn when every |m_i| <= 1 and sum_k s_k^2 < OVERFLOW_LIMIT, so that sum
-    bounds every iterate's variance. Otherwise the stream is rewound to
-    where the A_k were drawn and the Euler path is stepped from it as in
-    ``euler_maruyama_run``: theta, the flag and the stream's end state are
-    then that function's at the same stream, bit for bit.
+    h is drawn before the A_k, so streams in the same state give every
+    alpha the same h and the same CMS uniforms and exponentials: the A_k
+    are then a deterministic function of alpha. It shares its law with
+    ``euler_maruyama_run``, not its noise. That law is drawn when every
+    |m_i| <= 1 and sum_k s_k^2 < OVERFLOW_LIMIT, so that sum bounds every
+    iterate's variance. Otherwise the stream is rewound to where h was
+    drawn and the Euler path is stepped from it as in ``euler_maruyama_run``:
+    theta, the flag and the stream's end state are then that function's at
+    the same stream, bit for bit.
     """
     check_step_size(problem, config)
     d, T, alpha = problem.d, config.steps, config.alpha
@@ -255,6 +258,7 @@ def final_iterate(
         raise ParameterError("a stream is required when noise_scale > 0")
     gen = stream.generator
     start = gen.bit_generator.state
+    h = gen.standard_normal(d)
     a = None if alpha == 2.0 else sample_skewed_positive_stable(alpha / 2.0, stream, size=T)
     m = 1.0 - config.eta * problem.eigenvalues
     with np.errstate(over="ignore", invalid="ignore"):
@@ -263,7 +267,7 @@ def final_iterate(
         certified = np.all(np.abs(m) <= 1.0) and s2.sum() < OVERFLOW_LIMIT
     if certified:
         v = _variance(m * m, s2)
-        return problem.eigenvectors @ (np.sqrt(v) * gen.standard_normal(d)), False
+        return problem.eigenvectors @ (np.sqrt(v) * h), False
     gen.bit_generator.state = start
     noise = _driving_noise(d, config, stream, T)
     path, diverged = _stepped_path(np.zeros(d), problem.A, config.eta, noise)

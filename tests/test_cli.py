@@ -35,8 +35,16 @@ def write_config(tmp_path, name, payload):
     return path
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def read_manifest(out_dir):
-    return json.loads((out_dir / "manifest.json").read_text())
+    return strict_json((out_dir / "manifest.json").read_text())
 
 
 def package_env():
@@ -310,6 +318,30 @@ class TestThreshold:
 
     def test_neither_direction_fails(self, tmp_path):
         assert run_cli(["threshold", "--p", "1.0", "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("alpha0, infinite", [(1.001, True), (1.5, False)])
+    def test_unbounded_threshold_is_null_with_its_flag(self, tmp_path, capsys, alpha0, infinite):
+        # Near alpha0 = p the threshold is +inf, which was written as Infinity: not JSON.
+        out = tmp_path / "out"
+        assert run_cli(["threshold", "--p", "1", "--alpha0", str(alpha0), "--out", str(out)]) == 0
+        report = strict_json((out / "threshold.json").read_text())
+        assert strict_json(capsys.readouterr().out) == report
+        assert report["variance_threshold_infinite"] is infinite
+        assert (report["variance_threshold"] is None) is infinite
+
+
+class TestNonFiniteReports:
+    @pytest.mark.parametrize("flags, error", [
+        (["--R", "1e100", "--sigma2", "1e-300", "--n", "1"], "ValueError"),  # was "Infinity"
+        (["--R", "1e200"], "OverflowError"),  # was a traceback
+    ], ids=["inf-value", "overflow"])
+    def test_bound_beyond_float_range_fails_before_any_output(self, flags, error, tmp_path,
+                                                              capsys):
+        out = tmp_path / "out"
+        err = run_failing(["bounds", "--p", "1", "--alpha", "1.5", *flags, "--out", str(out)],
+                          capsys)
+        assert err["error"] == error
+        assert not out.exists()
 
 
 SWEEP_CFG = {
@@ -714,6 +746,26 @@ class TestPlumbing:
         assert err["error"] == "ParameterError"
         assert bad in err["message"]
 
+    # A config each handler rejects after _resolve has typed it.
+    REJECTED_BY_HANDLER = {
+        "sample": {"alpha": 1.5, "kind": "bogus"},
+        "simulate": {"alpha": 1.5},
+        "bounds": {"p": 1.0, "alpha": 1.5, "dimension": "3d"},
+        "threshold": {"p": 1.0},
+        "sweep": {**SWEEP_CFG, "alpha_grid": [True]},
+        "estimate-tail": {"input_csv": "missing.csv", "K1": 10, "K2": 20},
+        "verify-charfn": {"alpha": 1.5, "d": 0},
+    }
+
+    @pytest.mark.parametrize("command", sorted(REJECTED_BY_HANDLER))
+    def test_rejected_config_creates_no_directory(self, command, tmp_path, capsys, monkeypatch):
+        # The output directory was made before the handler validated, and was left empty.
+        monkeypatch.chdir(tmp_path)  # so estimate-tail's relative input_csv does not exist
+        cfg = write_config(tmp_path, "c.json", self.REJECTED_BY_HANDLER[command])
+        out = tmp_path / "new" / "out"
+        run_failing([command, "--config", str(cfg), "--out", str(out)], capsys)
+        assert not (tmp_path / "new").exists()
+
     def test_readme_examples_parse(self):
         # Runs nothing: each `stableou ...` line in the README's fenced blocks
         # must name only the subcommands and flags the parser has.
@@ -868,6 +920,13 @@ class TestValueTypes:
     def test_version_exits_zero(self, capsys):
         assert run_cli(["--version"]) == 0
         assert stableou.__version__ in capsys.readouterr().out
+
+    def test_manifest_records_the_package_version(self, tmp_path):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        (declared,) = re.findall(r'^version = "(.+)"$', pyproject, re.MULTILINE)
+        out = tmp_path / "out"
+        assert run_cli(["threshold", "--p", "1", "--alpha0", "1.5", "--out", str(out)]) == 0
+        assert read_manifest(out)["artifact_version"] == stableou.__version__ == declared
 
     def test_manifest_records_each_value_as_its_key_type(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"alpha": 1, "n": 40.0, "steps": 10})

@@ -308,11 +308,19 @@ class TestSyntheticSweep:
         run_synthetic_sweep(SweepConfig(**{**TINY_SWEEP, "a_grid": (1.0, 2.0, 3.0)}))
         assert len(refs) == 3
 
-    def test_replication_seeds_are_distinct(self):
-        cfg = SweepConfig(**TINY_SWEEP)
+    def test_one_seed_per_grid_point_and_replication_shared_by_its_alphas(self):
+        cfg = SweepConfig(**{**TINY_SWEEP, "a_grid": (1.0, 2.0), "d_grid": (2, 3)})
         records = run_synthetic_sweep(cfg)
-        seeds = {r.seed for r in records}
-        assert len(seeds) == len(records)
+        seeds = {}
+        for r in records:
+            seeds.setdefault((r.d, r.a, r.replication), set()).add(r.seed)
+        assert len(seeds) == 2 * 2 * 3
+        assert all(len(shared) == 1 for shared in seeds.values())
+        assert len(set.union(*seeds.values())) == len(seeds)
+        # records.csv keeps the canonical order: grid point, then alpha, then replication.
+        assert [(r.alpha, r.replication) for r in records[:6]] == [
+            (1.5, 0), (1.5, 1), (1.5, 2), (2.0, 0), (2.0, 1), (2.0, 2)
+        ]
 
     def test_master_seed_changes_the_outcomes(self):
         cfg = SweepConfig(**TINY_SWEEP)
@@ -320,6 +328,74 @@ class TestSyntheticSweep:
         a = run_synthetic_sweep(cfg)
         b = run_synthetic_sweep(other)
         assert [r.gen_error for r in a] != [r.gen_error for r in b]
+
+
+class TestCommonRandomNumbers:
+    CRN_SWEEP = {**TINY_SWEEP, "alpha_grid": (1.1, 1.5, 2.0), "a_grid": (1.0, 2.0),
+                 "d_grid": (2, 3)}
+
+    def test_one_problem_per_grid_point_and_replication(self, monkeypatch):
+        built = []
+
+        class Counted(simulate.QuadraticProblem):
+            def __init__(self, X):
+                super().__init__(X)
+                built.append(self)
+
+        monkeypatch.setattr(experiments, "QuadraticProblem", Counted)
+        records = run_synthetic_sweep(SweepConfig(**self.CRN_SWEEP))
+        assert len(records) == 3 * 2 * 2 * 3
+        assert len(built) == 2 * 2 * 3
+
+    def test_every_alpha_of_a_replication_shares_its_gaussian(self, monkeypatch):
+        # theta_alpha = Q (sqrt(v_alpha) * h): Q^T theta_alpha / sqrt(v_alpha) is
+        # the same h for every alpha of a replication, the Gaussian alpha = 2 included.
+        variances, draws = [], []
+        variance, draw = simulate._variance, experiments.final_iterate
+
+        def recorded_variance(m2, s2):
+            variances.append(variance(m2, s2))
+            return variances[-1]
+
+        def recorded_draw(problem, sim, stream):
+            theta, diverged = draw(problem, sim, stream)
+            draws.append((problem, sim.alpha, theta))
+            return theta, diverged
+
+        monkeypatch.setattr(simulate, "_variance", recorded_variance)
+        monkeypatch.setattr(experiments, "final_iterate", recorded_draw)
+        records = run_synthetic_sweep(SweepConfig(**self.CRN_SWEEP))
+        assert not any(r.diverged for r in records)
+        assert len(draws) == len(variances) == len(records)
+        shared = {}
+        for (problem, alpha, theta), v in zip(draws, variances):
+            shared.setdefault(id(problem), []).append(
+                (alpha, problem.eigenvectors.T @ theta / np.sqrt(v))
+            )
+        assert len(shared) == 2 * 2 * 3
+        firsts = []
+        for per_alpha in shared.values():
+            assert [alpha for alpha, _ in per_alpha] == [1.1, 1.5, 2.0]
+            h = per_alpha[0][1]
+            for _, other in per_alpha[1:]:
+                np.testing.assert_allclose(other, h, rtol=1e-9, atol=1e-12)
+            firsts.append(h[:2])
+        # Replications and grid points draw their own h.
+        assert len({tuple(h) for h in firsts}) == len(firsts)
+
+    def test_only_the_uncertified_alpha_diverges_and_every_record_replays(self):
+        # alpha = 0.01 overflows the certificate, so its runs step the Euler path,
+        # where the infinite shocks diverge; alpha = 1.5 shares their seeds but is
+        # drawn from its exact law exactly as in a grid without 0.01.
+        cfg = SweepConfig(**{**TINY_SWEEP, "alpha_grid": (0.01, 1.5)})
+        records = run_synthetic_sweep(cfg)
+        assert [r.diverged for r in records] == [True] * 3 + [False] * 3
+        assert all(math.isnan(r.gen_error) for r in records[:3])
+        alone = run_synthetic_sweep(SweepConfig(**{**TINY_SWEEP, "alpha_grid": (1.5,)}))
+        assert records[3:] == alone
+        for r in records:
+            # repr, since nan != nan; repr(float) round-trips every finite value exactly.
+            assert repr(replay_record(cfg, r)) == repr(r)
 
 
 class TestRecordIO:

@@ -154,10 +154,11 @@ def test_theta0_dimension_checked():
 def replayed_final_iterate(prob, cfg, stream):
     """Q (sqrt(v) * h) from the draws final_iterate takes, with v stepped one step at a time.
 
-    final_iterate draws the T subordinator values (none at alpha = 2) and
-    then the d Gaussians h; here v <- m^2 v + s_k^2 runs over the steps.
+    final_iterate draws the d Gaussians h and then the T subordinator values
+    (none at alpha = 2); here v <- m^2 v + s_k^2 runs over the steps.
     """
     alpha, eta = cfg.alpha, cfg.eta
+    h = stream.generator.standard_normal(prob.d)
     if alpha == 2.0:
         a = np.ones(cfg.steps)
     else:
@@ -166,7 +167,7 @@ def replayed_final_iterate(prob, cfg, stream):
     v = np.zeros(prob.d)
     for a_k in a:
         v = m * m * v + 2.0 * eta ** (2.0 / alpha) * cfg.noise_scale**2 * a_k
-    return prob.eigenvectors @ (np.sqrt(v) * stream.generator.standard_normal(prob.d))
+    return prob.eigenvectors @ (np.sqrt(v) * h)
 
 
 class TestFinalIterate:
