@@ -19,7 +19,6 @@ from .bounds import (
     StabilityRegime,
     alpha_factor,
     classify_regime,
-    monotonicity_scan,
     threshold_alpha0,
     upper_bound_1d,
     upper_bound_dd,
@@ -40,7 +39,6 @@ from .experiments import (
     SweepConfig,
     aggregate_median_iqr,
     cauchy_doubling_check,
-    default_probe_points,
     empirical_stability_gap,
     generalization_error,
     generate_population,

@@ -229,20 +229,3 @@ def threshold_alpha0(sigma_level: float, p: float) -> float | NoThreshold:
         else:
             lo = mid
     return hi
-
-
-def monotonicity_scan(bound_fn, alpha0: float, grid_size: int) -> tuple[bool, float | None]:
-    """Whether bound_fn is nondecreasing on a uniform alpha-grid over [alpha0, 1.99].
-
-    Returns (True, None) when nondecreasing; otherwise (False, a) with a the
-    left endpoint of the first decreasing step.
-    """
-    if grid_size < 2:
-        raise ParameterError(f"grid_size must be at least 2, got {grid_size}")
-    grid = np.linspace(alpha0, 1.99, grid_size)
-    values = [float(bound_fn(a)) for a in grid]
-    for i in range(len(values) - 1):
-        tol = 1e-12 * max(abs(values[i]), abs(values[i + 1]))
-        if values[i + 1] < values[i] - tol:
-            return False, float(grid[i])
-    return True, None

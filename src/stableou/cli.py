@@ -181,10 +181,15 @@ def _read_matrix_csv(path) -> np.ndarray:
         [float(v) for v in rows[0]]
     except ValueError:
         start = 1
-    data = [[float(v) for v in r] for r in rows[start:]]
-    if not data:
+    if len(rows) == start:
         raise ShapeError(f"{path} contains a header but no rows")
-    return np.asarray(data, dtype=float)
+    data = np.asarray([[float(v) for v in r] for r in rows[start:]], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        # Rows count from 1, a header included; float() reads nan, inf and 1e999 alike.
+        row = start + int(bad[0])
+        raise ParameterError(f"{path} row {row + 1} is not finite: {','.join(rows[row])}")
+    return data
 
 
 def _reject_unread(command: str, mode: str, cfg: dict, unread: tuple) -> None:
@@ -253,7 +258,13 @@ def _cmd_bounds(cfg: dict, out_dir: Path) -> int:
     if dimension not in ("1d", "dd"):
         raise ParameterError(f"dimension must be '1d' or 'dd', got {dimension!r}")
     inputs = _from_config(BoundInputs, cfg)
-    result = upper_bound_1d(inputs) if dimension == "1d" else upper_bound_dd(inputs)
+    try:
+        result = upper_bound_1d(inputs) if dimension == "1d" else upper_bound_dd(inputs)
+    except OverflowError:  # float ** raises where float * gives inf: the same overflow
+        result = math.inf
+    if isinstance(result, float) and not math.isfinite(result):
+        raise OverflowError(f"report key 'value' overflows float range at dimension "
+                            f"{dimension}, inputs {dataclasses.asdict(inputs)}")
     report = {
         "inputs": {**dataclasses.asdict(inputs), "dimension": dimension},
         "regime": classify_regime(inputs.p, inputs.alpha).value,

@@ -262,21 +262,7 @@ class StabilityGapEstimate:
     gap: float
     stderr: float
     probe_index: int
-    n_mc: int
     per_probe_gap: np.ndarray
-    per_probe_stderr: np.ndarray
-
-
-def default_probe_points(pair: NeighborPair, R: float) -> np.ndarray:
-    """Signed coordinate directions scaled to R, plus the two differing rows."""
-    if not R > 0:
-        raise ParameterError(f"R must be positive, got {R}")
-    eye = np.eye(pair.d)
-    probes = [R * eye, -R * eye]
-    for row in (pair.x_row, pair.x_tilde_row):
-        if np.linalg.norm(row) > 0:
-            probes.append(row[None, :])
-    return np.vstack(probes)
 
 
 def _coupled_stationary_draws(
@@ -334,15 +320,12 @@ def empirical_stability_gap(
     theta, theta_hat = _coupled_stationary_draws(pair, sim, n_mc, stream)
     diffs = np.abs(theta @ probes.T) ** p - np.abs(theta_hat @ probes.T) ** p
     gaps = diffs.mean(axis=0)
-    stderrs = diffs.std(axis=0, ddof=1) / math.sqrt(n_mc)
     j = int(np.argmax(np.abs(gaps)))
     return StabilityGapEstimate(
         gap=float(gaps[j]),
-        stderr=float(stderrs[j]),
+        stderr=float(diffs.std(axis=0, ddof=1)[j] / math.sqrt(n_mc)),
         probe_index=j,
-        n_mc=int(n_mc),
         per_probe_gap=gaps,
-        per_probe_stderr=stderrs,
     )
 
 

@@ -29,9 +29,5 @@ class RngStream:
         """Child stream ``index``; same (seed, path, index) gives the same stream."""
         return RngStream(self.seed, self.path + (int(index),))
 
-    def describe(self) -> dict:
-        """Provenance record sufficient to reconstruct this stream."""
-        return {"seed": self.seed, "path": list(self.path)}
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"

@@ -53,7 +53,7 @@ class StationaryCharFn:
 
     def __init__(self, A, alpha: float):
         if isinstance(A, QuadraticProblem):
-            A, lam, q = A.A, A.eigenvalues, A.eigenvectors
+            lam, q = A.eigenvalues, A.eigenvectors
         else:
             A = np.asarray(A, dtype=float)
             if A.ndim == 0:
@@ -70,10 +70,9 @@ class StationaryCharFn:
                 f"A must be strictly positive definite; smallest eigenvalue is {lam[0]:.4g}"
             )
         self.alpha = float(alpha)
-        self.A = A
         self.eigenvalues = lam
         self._q = q
-        self.d = A.shape[0]
+        self.d = lam.shape[0]
 
     def _integrand(self, s: np.ndarray, w: np.ndarray) -> np.ndarray:
         decay = np.exp(-np.outer(s, self.eigenvalues)) * w[None, :]
@@ -148,10 +147,8 @@ class NeighborPair:
         self.X = X
         self.X_hat = X_hat
         self.n, self.d = X.shape
-        self.index = int(differing[0]) if differing.size == 1 else 0
-        self.x_row = X[self.index]
-        self.x_tilde_row = X_hat[self.index]
-        x, xt = self.x_row, self.x_tilde_row
+        i = int(differing[0]) if differing.size == 1 else 0
+        x, xt = X[i], X_hat[i]
         self.perturbation = float(np.linalg.norm(x - xt) * np.linalg.norm(x + xt))
         self.sigma_min = min(self.problem.lambda_min, self.problem_hat.lambda_min)
 

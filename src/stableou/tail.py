@@ -26,10 +26,6 @@ class TailEstimate:
     def __post_init__(self):
         if not (np.isfinite(self.alpha_hat) and self.alpha_hat > 0):
             raise ParameterError(f"alpha_hat must be finite and positive, got {self.alpha_hat}")
-        if self.K1 < 2:
-            raise ParameterError(f"K1 must be at least 2, got {self.K1}")
-        if self.K2 < 1:
-            raise ParameterError(f"K2 must be positive, got {self.K2}")
 
 
 def _as_sample_matrix(vectors) -> np.ndarray:

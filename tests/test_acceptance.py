@@ -34,7 +34,6 @@ from stableou import (
     estimate_tail_index,
     exact_stability_gap,
     gamma_fn,
-    monotonicity_scan,
     read_run_records,
     replay_record,
     run_synthetic_sweep,
@@ -108,16 +107,21 @@ def test_03_special_function_values():
 def test_04_variance_threshold_controls_monotonicity():
     t0 = time.time()
     level = variance_threshold(1.5, 1.0)
-
-    def bound_at(sigma_sq):
-        return lambda a: upper_bound_1d(
-            BoundInputs(R=1.0, n=1000, p=1.0, alpha=a, sigma2=sigma_sq)
-        )
-
-    mono_at_threshold, _ = monotonicity_scan(bound_at(level), 1.5, 50)
-    mono_at_one, witness = monotonicity_scan(bound_at(1.0), 1.5, 50)
+    grid = np.linspace(1.5, 1.99, 50)
+    drops = []
+    for sigma_sq in (level, 1.0):
+        values = [
+            float(upper_bound_1d(BoundInputs(R=1.0, n=1000, p=1.0, alpha=a, sigma2=sigma_sq)))
+            for a in grid
+        ]
+        # The left end of the first step down by more than 1e-12 relative, if any.
+        drops.append(next((
+            float(a) for a, v, w in zip(grid, values, values[1:])
+            if w < v - 1e-12 * max(abs(v), abs(w))
+        ), None))
+    mono_at_threshold, witness = drops[0] is None, drops[1]
     elapsed = time.time() - t0
-    ok = mono_at_threshold and not mono_at_one and witness is not None and elapsed < 1.0
+    ok = mono_at_threshold and witness is not None and elapsed < 1.0
     assert verdict(4, "threshold variance flips alpha-monotonicity", ok,
                    f"threshold {level:.4f} nondecreasing={mono_at_threshold}; "
                    f"sigma^2=1 violation at alpha={witness} ({elapsed:.2f}s)")

@@ -15,7 +15,6 @@ from stableou import (
     StabilityRegime,
     alpha_factor,
     classify_regime,
-    monotonicity_scan,
     threshold_alpha0,
     upper_bound_1d,
     upper_bound_dd,
@@ -254,29 +253,6 @@ class TestThresholdAlpha0:
         assert math.log(at_two) == pytest.approx(general_log_threshold(2.0, p, lam), rel=1e-12)
         assert threshold_alpha0(at_two, p) == 2.0
         assert threshold_alpha0(math.nextafter(at_two, 0.0), p) is NO_THRESHOLD
-
-
-class TestMonotonicityScan:
-    def test_threshold_variance_gives_monotone_bound(self):
-        sigma2 = variance_threshold(1.5, 1.0)
-
-        def bound(alpha):
-            return upper_bound_1d(BoundInputs(R=1.0, n=1000, p=1.0, alpha=alpha, sigma2=sigma2))
-
-        ok, violation = monotonicity_scan(bound, 1.5, 50)
-        assert ok and violation is None
-
-    def test_unit_variance_violates_monotonicity(self):
-        def bound(alpha):
-            return upper_bound_1d(BoundInputs(R=1.0, n=1000, p=1.0, alpha=alpha, sigma2=1.0))
-
-        ok, violation = monotonicity_scan(bound, 1.5, 50)
-        assert not ok
-        assert violation is not None and 1.5 <= violation < 2.0
-
-    def test_constant_function_is_monotone(self):
-        ok, violation = monotonicity_scan(lambda a: 1.0, 1.2, 30)
-        assert ok and violation is None
 
 
 class TestAlphaFactor:

@@ -190,6 +190,17 @@ class TestSimulate:
         assert err["message"].startswith("simulate with data_csv does not read n, d, a; got ")
         assert not (out / "trajectory.csv").exists()
 
+    def test_non_finite_data_fails_before_any_output(self, tmp_path, capsys):
+        for text, named in (("x_1\n1\nnan\n3\n", "row 3 is not finite: nan"),
+                            ("1,2\n3,inf\n", "row 2 is not finite: 3,inf")):
+            data_csv = tmp_path / "data.csv"
+            data_csv.write_text(text)
+            out = tmp_path / "out"
+            err = run_failing(["simulate", "--alpha", "1.5", "--data-csv", str(data_csv),
+                               "--out", str(out)], capsys)
+            assert err == {"error": "ParameterError", "message": f"{data_csv} {named}"}
+            assert not out.exists()
+
     def test_diverged_run_prints_a_finite_norm(self, tmp_path, capsys):
         # The last kept iterate has coordinates near 1e300, whose squares overflow.
         cfg = write_config(tmp_path, "c.json", {
@@ -331,16 +342,17 @@ class TestThreshold:
 
 
 class TestNonFiniteReports:
-    @pytest.mark.parametrize("flags, error", [
-        (["--R", "1e100", "--sigma2", "1e-300", "--n", "1"], "ValueError"),  # was "Infinity"
-        (["--R", "1e200"], "OverflowError"),  # was a traceback
-    ], ids=["inf-value", "overflow"])
-    def test_bound_beyond_float_range_fails_before_any_output(self, flags, error, tmp_path,
-                                                              capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--R", "1e100", "--sigma2", "1e-300", "--n", "1"],  # was "Infinity"
+        ["--dimension", "dd", "--R", "1e300", "--sigma-min", "1e-300", "--n", "1"],
+        ["--R", "1e200"],  # was a traceback
+    ], ids=["inf-value", "inf-value-dd", "overflow"])
+    def test_bound_beyond_float_range_fails_before_any_output(self, flags, tmp_path, capsys):
         out = tmp_path / "out"
         err = run_failing(["bounds", "--p", "1", "--alpha", "1.5", *flags, "--out", str(out)],
                           capsys)
-        assert err["error"] == error
+        assert err["error"] == "OverflowError"
+        assert "report key 'value'" in err["message"] and "'R': 1e+" in err["message"]
         assert not out.exists()
 
 
@@ -481,6 +493,16 @@ class TestEstimateTail:
     def test_missing_input_fails(self, tmp_path):
         assert run_cli(["estimate-tail", "--k1", "5", "--k2", "5",
                         "--out", str(tmp_path / "o")]) == 1
+
+    def test_non_finite_data_fails_before_any_output(self, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("x_1\n" + "1.5\n" * 5 + "-inf\n" + "2.5\n" * 20)
+        out = tmp_path / "out"
+        err = run_failing(["estimate-tail", "--input-csv", str(data_csv), "--k1", "5",
+                           "--k2", "5", "--out", str(out)], capsys)
+        assert err == {"error": "ParameterError",
+                       "message": f"{data_csv} row 7 is not finite: -inf"}
+        assert not out.exists()
 
 
 class TestVerifyCharfn:
@@ -947,3 +969,40 @@ class TestValueTypes:
         for command, cls in (("bounds", BoundInputs), ("sweep", SweepConfig)):
             for key, kind in typing.get_type_hints(cls).items():
                 assert _key_type(_DEFAULTS[command][key]) is kind, (command, key)
+
+
+# JSON values at the edges of every key type; NaN and Infinity are the
+# literals json.load accepts.
+EDGE_VALUES = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf,
+               "10**400": 10**400, "10**18": 10**18, "-10**18": -10**18, "1e308": 1e308,
+               "-1e308": -1e308, "0": 0, "-1": -1, "0.5": 0.5, "1e-300": 1e-300, '"x"': "x",
+               "true": True, "false": False, "[1]": [1]}
+EDGE_CASES = [(command, key, name) for command, key in SCALAR_KEYS for name in EDGE_VALUES]
+
+
+class Drew(Exception):
+    """An accepted input reached its first random draw."""
+
+
+def draw_nothing(*args, **kwargs):
+    raise Drew
+
+
+@pytest.mark.parametrize("command, key, name", EDGE_CASES,
+                         ids=[f"{c}-{k}-{n}" for c, k, n in EDGE_CASES])
+def test_no_config_value_reaches_a_traceback(command, key, name, tmp_path, capsys, monkeypatch):
+    # An accepted input stops at its first stream or sweep, so nothing large is
+    # drawn; bounds, threshold and estimate-tail draw nothing and run whole.
+    monkeypatch.setattr("stableou.cli.RngStream", draw_nothing)
+    monkeypatch.setattr("stableou.cli.run_synthetic_sweep", draw_nothing)
+    monkeypatch.chdir(tmp_path)  # estimate-tail reads data.csv from here
+    cauchy = np.random.default_rng(0).standard_cauchy(200)
+    (tmp_path / "data.csv").write_text("x_1\n" + "".join(f"{v!r}\n" for v in cauchy))
+    cfg = write_config(tmp_path, "c.json", {**BASE_CONFIGS[command], key: EDGE_VALUES[name]})
+    try:
+        code = run_cli([command, "--config", str(cfg), "--out", "out"])
+    except Drew:
+        code = 0
+    assert code in (0, 1, 2)
+    err = capsys.readouterr().err
+    assert err == "" or err.count("\n") == 1 and set(json.loads(err)) == {"error", "message"}, err

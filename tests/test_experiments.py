@@ -21,7 +21,6 @@ from stableou import (
     UnstableRegimeError,
     aggregate_median_iqr,
     cauchy_doubling_check,
-    default_probe_points,
     empirical_stability_gap,
     generalization_error,
     generate_population,
@@ -509,31 +508,9 @@ def make_1d_pair():
     return NeighborPair(X, X_hat)
 
 
-class TestProbePoints:
-    def test_coordinate_probes_plus_differing_rows(self):
-        pair = make_1d_pair()
-        probes = default_probe_points(pair, 2.0)
-        assert probes.shape == (4, 1)
-        assert probes[0, 0] == 2.0 and probes[1, 0] == -2.0
-        assert probes[2, 0] == pair.x_row[0]
-        assert probes[3, 0] == pair.x_tilde_row[0]
-
-    def test_zero_rows_are_skipped(self):
-        X = np.zeros((4, 2))
-        X[1:] = 1.0
-        pair = NeighborPair(X, X)  # differing row defaults to the zero row 0
-        probes = default_probe_points(pair, 1.0)
-        assert probes.shape == (4, 2)
-
-    def test_identical_nonzero_rows_both_appear(self):
-        X = np.ones((4, 2))
-        pair = NeighborPair(X, X)
-        probes = default_probe_points(pair, 1.0)
-        assert probes.shape == (6, 2)
-
-    def test_radius_validation(self):
-        with pytest.raises(ParameterError):
-            default_probe_points(make_1d_pair(), 0.0)
+# Unit probes both ways and make_1d_pair's new row: with p = 1 every probe's
+# gap is |z| times one difference, so the largest |z| takes the max.
+PROBES_1D = np.array([[1.0], [-1.0], [1.9]])
 
 
 class TestEmpiricalStabilityGap:
@@ -541,32 +518,26 @@ class TestEmpiricalStabilityGap:
         pair = make_1d_pair()
         sim = SimConfig(eta=0.01, steps=100, alpha=1.5, noise_scale=1.0)
         with pytest.raises(UnstableRegimeError):
-            empirical_stability_gap(
-                pair, default_probe_points(pair, 1.0), 1.8, 1.5, sim, 200, RngStream(0)
-            )
+            empirical_stability_gap(pair, PROBES_1D, 1.8, 1.5, sim, 200, RngStream(0))
 
     def test_small_sample_warns(self):
         pair = make_1d_pair()
         sim = SimConfig(eta=0.05, steps=200, alpha=1.5, noise_scale=1.0)
         with pytest.warns(RuntimeWarning):
-            empirical_stability_gap(
-                pair, default_probe_points(pair, 1.0), 1.0, 1.5, sim, 50, RngStream(0)
-            )
+            empirical_stability_gap(pair, PROBES_1D, 1.0, 1.5, sim, 50, RngStream(0))
 
     def test_estimate_is_deterministic(self):
         pair = make_1d_pair()
         sim = SimConfig(eta=0.05, steps=200, alpha=1.5, noise_scale=1.0)
-        probes = default_probe_points(pair, 1.0)
-        a = empirical_stability_gap(pair, probes, 1.0, 1.5, sim, 500, RngStream(3))
-        b = empirical_stability_gap(pair, probes, 1.0, 1.5, sim, 500, RngStream(3))
+        a = empirical_stability_gap(pair, PROBES_1D, 1.0, 1.5, sim, 500, RngStream(3))
+        b = empirical_stability_gap(pair, PROBES_1D, 1.0, 1.5, sim, 500, RngStream(3))
         assert a.gap == b.gap and a.stderr == b.stderr
         np.testing.assert_array_equal(a.per_probe_gap, b.per_probe_gap)
 
     def test_sign_symmetric_probes_agree(self):
         pair = make_1d_pair()
         sim = SimConfig(eta=0.05, steps=200, alpha=1.5, noise_scale=1.0)
-        probes = default_probe_points(pair, 1.0)
-        est = empirical_stability_gap(pair, probes, 1.0, 1.5, sim, 500, RngStream(4))
+        est = empirical_stability_gap(pair, PROBES_1D, 1.0, 1.5, sim, 500, RngStream(4))
         assert est.per_probe_gap[0] == est.per_probe_gap[1]
 
     def test_matches_closed_form_oracle(self):
@@ -577,27 +548,22 @@ class TestEmpiricalStabilityGap:
         s2 = float(np.mean(pair.X_hat**2))
         m1 = sas_abs_moment(p, alpha, (alpha * s1) ** (-1.0 / alpha))
         m2 = sas_abs_moment(p, alpha, (alpha * s2) ** (-1.0 / alpha))
-        probes = default_probe_points(pair, 1.0)
-        oracle = np.abs(np.abs(probes[:, 0]) ** p * (m1 - m2))
+        oracle = np.abs(np.abs(PROBES_1D[:, 0]) ** p * (m1 - m2))
         sim = SimConfig(eta=0.005, steps=4000, alpha=alpha, noise_scale=1.0)
-        est = empirical_stability_gap(pair, probes, p, alpha, sim, 20000, RngStream(11))
+        est = empirical_stability_gap(pair, PROBES_1D, p, alpha, sim, 20000, RngStream(11))
         assert abs(abs(est.gap) - oracle[est.probe_index]) <= 3.0 * est.stderr
 
     def test_alpha_differing_from_the_chain_is_rejected(self):
         pair = make_1d_pair()
         sim = SimConfig(eta=0.05, steps=200, alpha=1.5, noise_scale=1.0)
         with pytest.raises(ParameterError, match="differs from the chain's sim.alpha"):
-            empirical_stability_gap(
-                pair, default_probe_points(pair, 1.0), 1.0, 1.6, sim, 200, RngStream(0)
-            )
+            empirical_stability_gap(pair, PROBES_1D, 1.0, 1.6, sim, 200, RngStream(0))
 
     def test_too_coarse_step_rejected(self):
         pair = make_1d_pair()
         sim = SimConfig(eta=1.9, steps=100, alpha=1.5, noise_scale=1.0)
         with pytest.raises(ParameterError):
-            empirical_stability_gap(
-                pair, default_probe_points(pair, 1.0), 1.0, 1.5, sim, 200, RngStream(0)
-            )
+            empirical_stability_gap(pair, PROBES_1D, 1.0, 1.5, sim, 200, RngStream(0))
 
     def test_stacked_chains_match_separate_loops(self):
         # The two datasets' chains step as one stacked state; replaying the
@@ -632,9 +598,7 @@ class TestEmpiricalStabilityGap:
         with pytest.warns(UserWarning, match="diverges"), pytest.raises(
             AccuracyError, match="at step 1334 of a 2000-step burn-in"
         ):
-            empirical_stability_gap(
-                pair, default_probe_points(pair, 1.0), 1.0, 1.5, sim, 200, RngStream(0)
-            )
+            empirical_stability_gap(pair, PROBES_1D, 1.0, 1.5, sim, 200, RngStream(0))
 
 
 class TestCauchyDoublingCheck:
@@ -655,8 +619,7 @@ class TestCauchyDoublingCheck:
 
 def test_gap_estimate_carries_per_probe_arrays():
     est = StabilityGapEstimate(
-        gap=1.0, stderr=0.1, probe_index=0, n_mc=10,
-        per_probe_gap=np.ones(2), per_probe_stderr=np.full(2, 0.1),
+        gap=1.0, stderr=0.1, probe_index=0, per_probe_gap=np.ones(2)
     )
     assert est.per_probe_gap.shape == (2,)
     assert est.gap == est.per_probe_gap[est.probe_index]

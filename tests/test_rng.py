@@ -50,10 +50,9 @@ def test_fork_does_not_disturb_parent():
     )
 
 
-def test_describe_round_trip():
+def test_seed_and_path_rebuild_the_stream():
     stream = RngStream(11, path=(2, 4))
-    info = stream.describe()
-    rebuilt = RngStream(info["seed"], tuple(info["path"]))
+    rebuilt = RngStream(stream.seed, stream.path)
     np.testing.assert_array_equal(
         stream.generator.standard_normal(16), rebuilt.generator.standard_normal(16)
     )

@@ -50,7 +50,7 @@ class TestConstruction:
     def test_scalar_drift_is_promoted(self):
         sc = StationaryCharFn(2.0, 1.5)
         assert sc.d == 1
-        assert sc.A.shape == (1, 1)
+        np.testing.assert_array_equal(sc.eigenvalues, [2.0])
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ParameterError):
@@ -69,7 +69,7 @@ class TestConstruction:
     def test_small_asymmetry_is_absorbed(self):
         A = np.array([[2.0, 1e-14], [0.0, 1.0]])
         sc = StationaryCharFn(A, 1.5)
-        np.testing.assert_allclose(sc.A, sc.A.T)
+        np.testing.assert_allclose(sc.eigenvalues, [1.0, 2.0])
 
 
 class TestClosedForms:
@@ -156,11 +156,9 @@ class TestNeighborPair:
         X_hat = X.copy()
         X_hat[4] = gen.standard_normal(3)
         pair = NeighborPair(X, X_hat)
-        assert pair.index == 4
         assert pair.n == 12 and pair.d == 3
-        np.testing.assert_array_equal(pair.x_row, X[4])
-        np.testing.assert_array_equal(pair.x_tilde_row, X_hat[4])
-        assert pair.perturbation > 0.0
+        u, v = X[4] - X_hat[4], X[4] + X_hat[4]
+        assert pair.perturbation == np.linalg.norm(u) * np.linalg.norm(v)
         gram_min = min(
             np.linalg.eigvalsh(X.T @ X / 12.0)[0],
             np.linalg.eigvalsh(X_hat.T @ X_hat / 12.0)[0],
@@ -178,7 +176,7 @@ class TestNeighborPair:
         X = np.array([1.0, 2.0, 3.0])
         X_hat = np.array([1.0, 5.0, 3.0])
         pair = NeighborPair(X, X_hat)
-        assert pair.d == 1 and pair.index == 1
+        assert pair.d == 1 and pair.perturbation == 21.0
 
     def test_identical_datasets_allowed(self):
         X = np.ones((4, 2))

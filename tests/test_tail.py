@@ -26,10 +26,6 @@ class TestEstimateValidation:
             TailEstimate(alpha_hat=0.0, K1=10, K2=5, sample_count_used=50)
         with pytest.raises(ParameterError):
             TailEstimate(alpha_hat=float("nan"), K1=10, K2=5, sample_count_used=50)
-        with pytest.raises(ParameterError):
-            TailEstimate(alpha_hat=1.0, K1=1, K2=5, sample_count_used=5)
-        with pytest.raises(ParameterError):
-            TailEstimate(alpha_hat=1.0, K1=10, K2=0, sample_count_used=0)
 
     def test_parameter_checks(self):
         data = np.ones(100)
