@@ -173,7 +173,12 @@ def _finish(out_dir: Path, command: str, cfg: dict, outputs: list[str], report=N
 
 def _read_matrix_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+        reader = csv.reader(fh)
+        lines, rows = [], []  # each non-blank row and the file line it ends on
+        for r in reader:
+            if r:
+                lines.append(reader.line_num)
+                rows.append(r)
     if not rows:
         raise ShapeError(f"{path} contains no data")
     start = 0
@@ -186,9 +191,9 @@ def _read_matrix_csv(path) -> np.ndarray:
     data = np.asarray([[float(v) for v in r] for r in rows[start:]], dtype=float)
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
-        # Rows count from 1, a header included; float() reads nan, inf and 1e999 alike.
+        # float() reads nan, inf and 1e999 alike.
         row = start + int(bad[0])
-        raise ParameterError(f"{path} row {row + 1} is not finite: {','.join(rows[row])}")
+        raise ParameterError(f"{path} row {lines[row]} is not finite: {','.join(rows[row])}")
     return data
 
 

@@ -192,7 +192,8 @@ class TestSimulate:
 
     def test_non_finite_data_fails_before_any_output(self, tmp_path, capsys):
         for text, named in (("x_1\n1\nnan\n3\n", "row 3 is not finite: nan"),
-                            ("1,2\n3,inf\n", "row 2 is not finite: 3,inf")):
+                            ("1,2\n3,inf\n", "row 2 is not finite: 3,inf"),
+                            ("x_1\n\n1\n\nnan\n", "row 5 is not finite: nan")):
             data_csv = tmp_path / "data.csv"
             data_csv.write_text(text)
             out = tmp_path / "out"

@@ -67,9 +67,14 @@ class TestConstruction:
             StationaryCharFn(np.zeros((0, 0)), 1.5)
 
     def test_small_asymmetry_is_absorbed(self):
-        A = np.array([[2.0, 1e-14], [0.0, 1.0]])
-        sc = StationaryCharFn(A, 1.5)
-        np.testing.assert_allclose(sc.eigenvalues, [1.0, 2.0])
+        # eigh reads one triangle only, so A and A.T agree only once symmetrized.
+        A = np.array([[2.0, 1e-3], [0.0, 1.0]])
+        sc, sc_t = StationaryCharFn(A, 1.5), StationaryCharFn(A.T, 1.5)
+        np.testing.assert_allclose(sc.eigenvalues, np.linalg.eigvalsh((A + A.T) / 2.0),
+                                   rtol=1e-14)
+        np.testing.assert_array_equal(sc.eigenvalues, sc_t.eigenvalues)
+        u = np.array([0.7, -1.3])
+        assert sc.evaluate(u) == sc_t.evaluate(u)
 
 
 class TestClosedForms:
