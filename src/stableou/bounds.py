@@ -10,11 +10,9 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ParameterError
+from .errors import ParameterError, is_real, reject_unread
 from .special import digamma, gamma_fn
 
 # Relative distance of p below alpha at which the Gamma(1 - p/alpha) pole
@@ -65,7 +63,7 @@ class BoundInputs:
     def __post_init__(self):
         if not self.R > 0:
             raise ParameterError(f"R must be positive, got {self.R}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (is_real(self.n, integral=True) and self.n >= 1):
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
         if not (1.0 <= self.p <= 2.0):
             raise ParameterError(f"p must lie in [1, 2], got {self.p}")
@@ -85,7 +83,6 @@ class BoundInputs:
     def confidence_floor(self) -> float:
         """The assumption-probability caveat: bounds hold with at least this probability."""
         return 1.0 - self.delta1 - 2.0 * self.delta2
-
 
 def classify_regime(p: float, alpha: float) -> StabilityRegime:
     if not (1.0 <= p <= 2.0):
@@ -130,32 +127,26 @@ def alpha_factor(alpha: float, p: float, sigma_sq: float) -> float:
     )
 
 
-def _reject_unread(b: BoundInputs, unread: tuple[str, ...], what: str) -> None:
-    """Raise if a field the bound does not read is set away from its default."""
-    changed = [f"{f.name}={getattr(b, f.name)}" for f in fields(b)
-               if f.name in unread and getattr(b, f.name) != f.default]
-    if changed:
-        raise ParameterError(f"{what} does not read {', '.join(unread)}; got {', '.join(changed)}")
-
-
 def upper_bound_1d(b: BoundInputs) -> float | StabilityRegime:
     """Stability upper bound for the scalar loss |theta x|^p.
 
-    Returns the Unstable regime marker when p >= alpha with alpha < 2, the
-    dedicated squared-loss value at p = alpha = 2, and otherwise
+    Returns the Unstable regime marker when p >= alpha with alpha < 2, and otherwise
 
         c(alpha) = (2 R^(p+2) / (pi sigma2 n)) Gamma(p+1) cos((p-1)pi/2)
-                   alpha_factor(alpha, p, sigma2).
+                   alpha_factor(alpha, p, sigma2),
+
+    at p = alpha = 2 its limit as p -> 2, R^4 / (sigma2^2 n), since
+    Gamma(1 - p/2) cos((p-1)pi/2) tends to pi.
 
     The scalar bound reads neither the d-dimensional sigma nor sigma_min;
     either set away from its default is rejected.
     """
-    _reject_unread(b, ("sigma", "sigma_min"), "the 1-d bound")
+    reject_unread("the 1-d bound", ("sigma", "sigma_min"), vars(b), vars(BoundInputs))
     regime = classify_regime(b.p, b.alpha)
     if regime is StabilityRegime.UNSTABLE:
         return regime
     if regime is StabilityRegime.GAUSSIAN_SQUARED:
-        return b.R**4 / (math.pi * b.sigma2**2 * b.n)
+        return b.R**4 / (b.sigma2**2 * b.n)
     _warn_if_near_pole(b.p, b.alpha)
     lead = 2.0 * b.R ** (b.p + 2.0) / (math.pi * b.sigma2 * b.n)
     return lead * gamma_fn(b.p + 1.0) * _cos_factor(b.p) * alpha_factor(b.alpha, b.p, b.sigma2)
@@ -164,15 +155,16 @@ def upper_bound_1d(b: BoundInputs) -> float | StabilityRegime:
 def upper_bound_dd(b: BoundInputs) -> float | StabilityRegime:
     """Stability upper bound for the d-dimensional loss |theta^T x|^p.
 
+    At p = alpha = 2 it is the p -> 2 limit, 4 R^2 sigma / (n sigma_min).
     The bound does not read the 1-d sigma2, so a sigma2 set away from its
     default is rejected.
     """
-    _reject_unread(b, ("sigma2",), "the d-dimensional bound")
+    reject_unread("the d-dimensional bound", ("sigma2",), vars(b), vars(BoundInputs))
     regime = classify_regime(b.p, b.alpha)
     if regime is StabilityRegime.UNSTABLE:
         return regime
     if regime is StabilityRegime.GAUSSIAN_SQUARED:
-        return 2.0 * b.R**2 * b.sigma / (math.pi * b.n * b.sigma_min)
+        return 4.0 * b.R**2 * b.sigma / (b.n * b.sigma_min)
     _warn_if_near_pole(b.p, b.alpha)
     return (
         (8.0 * b.R**b.p * b.sigma / (math.pi * b.n))

@@ -39,7 +39,7 @@ from .bounds import (
     upper_bound_dd,
     variance_threshold,
 )
-from .errors import AccuracyError, ParameterError, ShapeError, StableOUError
+from .errors import AccuracyError, ParameterError, ShapeError, StableOUError, reject_unread
 from .experiments import (
     SweepConfig,
     _write_csv,
@@ -197,15 +197,6 @@ def _read_matrix_csv(path) -> np.ndarray:
     return data
 
 
-def _reject_unread(command: str, mode: str, cfg: dict, unread: tuple) -> None:
-    """Raises ParameterError if cfg sets a key that `mode` does not read away from its default."""
-    table = _DEFAULTS[command]
-    changed = [f"{key}={cfg[key]}" for key in unread if cfg.get(key, table[key]) != table[key]]
-    if changed:
-        raise ParameterError(f"{mode} does not read {', '.join(unread)}; "
-                             f"got {', '.join(changed)}")
-
-
 # The sample settings each kind ignores.
 _SAMPLE_UNREAD = {"sas": ("d",), "positive": ("sigma", "d"), "isotropic": ()}
 
@@ -215,7 +206,7 @@ def _cmd_sample(cfg: dict, out_dir: Path) -> int:
     kind = cfg["kind"]
     if kind not in _SAMPLE_UNREAD:
         raise ParameterError(f"kind must be 'sas', 'positive' or 'isotropic', got {kind!r}")
-    _reject_unread("sample", f"kind {kind!r}", cfg, _SAMPLE_UNREAD[kind])
+    reject_unread(f"kind {kind!r}", _SAMPLE_UNREAD[kind], cfg, _DEFAULTS["sample"])
     alpha, count = cfg["alpha"], cfg["count"]
     stream = RngStream(cfg["seed"])
     if kind == "sas":
@@ -237,7 +228,7 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     """Run one noisy-recursion trajectory."""
     stream = RngStream(cfg["seed"])
     if "data_csv" in cfg:
-        _reject_unread("simulate", "simulate with data_csv", cfg, ("n", "d", "a"))
+        reject_unread("simulate with data_csv", ("n", "d", "a"), cfg, _DEFAULTS["simulate"])
         data = _read_matrix_csv(cfg["data_csv"])
     elif "n" not in cfg:
         raise ParameterError("missing required config key 'n'")
@@ -353,7 +344,7 @@ def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
     if d < 1:
         raise ParameterError(f"d must be at least 1, got {d}")
     if d > 1:
-        _reject_unread("verify-charfn", f"verify-charfn at d={d}", cfg, ("u_max",))
+        reject_unread(f"verify-charfn at d={d}", ("u_max",), cfg, _DEFAULTS["verify-charfn"])
     elif not u_max > 0:
         # At u_max = 0 every grid point is u = 0, where both char. fns are 1: no check at all.
         raise ParameterError(f"u_max must be positive, got {u_max}")

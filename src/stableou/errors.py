@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input rules that raise them.
 
 The split matters for the CLI: validation problems (bad parameters, bad
 shapes, degenerate data) exit with code 1, numerical-accuracy failures
 with code 2.
 """
+
+import numbers
+import sys
 
 
 class StableOUError(Exception):
@@ -39,3 +42,29 @@ class AccuracyError(StableOUError, ArithmeticError):
     def __init__(self, message: str, estimate: float | None = None):
         super().__init__(message)
         self.estimate = estimate
+
+
+def is_real(x, integral: bool = False) -> bool:
+    """Whether x is a real number within float range that is not a bool, and whole if integral.
+
+    abs(x) <= max fails for nan, +-inf and an int beyond float range alike."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max and (not integral or float(x).is_integer()))
+
+
+def integer(name: str, value) -> int:
+    """value as an int, or a ParameterError naming `name` unless it is_real and integral."""
+    if not is_real(value, integral=True):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def reject_unread(what: str, unread: tuple, values: dict, defaults: dict) -> None:
+    """Raise ParameterError if values sets a key that `what` does not read off its default.
+
+    A key in `unread` missing from values counts as its entry in defaults."""
+    changed = [f"{key}={values[key]}" for key in unread
+               if values.get(key, defaults[key]) != defaults[key]]
+    if changed:
+        raise ParameterError(f"{what} does not read {', '.join(unread)}; "
+                             f"got {', '.join(changed)}")

@@ -11,14 +11,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import numbers
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DegenerateDataError, ParameterError, ShapeError
+from .errors import AccuracyError, DegenerateDataError, ParameterError, ShapeError, integer, is_real
 from .rng import RngStream
 from .sampling import sample_isotropic_stable  # noqa: F401  (looked up here by perfbench/layers.py)
 from .simulate import (
@@ -66,10 +64,7 @@ class SweepConfig:
     def __post_init__(self):
         for name, kind in (("alpha_grid", float), ("a_grid", float), ("d_grid", int)):
             grid = tuple(getattr(self, name))
-            # abs(x) <= max fails for nan, +-inf and an int beyond float range alike.
-            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                       and abs(x) <= sys.float_info.max
-                       and (kind is float or float(x).is_integer()) for x in grid):
+            if not all(is_real(x, integral=kind is int) for x in grid):
                 noun = "finite numbers" if kind is float else "integers"
                 raise ParameterError(f"{name} entries must be {noun}, got {list(grid)}")
             if len(grid) == 0:
@@ -77,6 +72,8 @@ class SweepConfig:
             if len(set(grid)) != len(grid):
                 raise ParameterError(f"{name} has duplicate entries")
             object.__setattr__(self, name, tuple(kind(x) for x in grid))
+        for name in ("n", "population_size", "replications", "master_seed"):  # steps: see SimConfig
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if any(a <= 0 for a in self.a_grid):
             raise ParameterError("a_grid entries must be positive")
         if any(d < 1 for d in self.d_grid):
@@ -184,33 +181,34 @@ def generalization_error(theta, train, population, p: float) -> float:
         return abs(surrogate_risk(theta, train, p) - surrogate_risk(theta, population, p))
 
 
-def _grid_point_records(
-    cfg: SweepConfig, di: int, ai: int, alphas, replications
-) -> list[RunRecord]:
-    """The records of every alpha x (replication, seed) at grid point (d_grid[di], a_grid[ai]).
+def _grid_point_records(cfg: SweepConfig, di: int, ai: int, replications) -> list[RunRecord]:
+    """The records of every alpha x replication r at grid point (d_grid[di], a_grid[ai]).
 
-    The alphas of a replication share its seed (common random numbers): one
-    training resample and QuadraticProblem, and for each alpha a fresh
-    fork(1), from which final_iterate draws the same h, uniforms and
-    exponentials. One surrogate_risk call per replication scores the train
-    risks, and one more scores every iterate on the population, a diverged
-    one as a zero row. The population is this call's alone, so it is freed
-    on return. Records come alpha-major.
+    Seed (master_seed, (di, ai, r)) opens replication r's stream, which every
+    alpha shares (common random numbers): one training resample and
+    QuadraticProblem, and per alpha a fresh fork(1), from which final_iterate
+    draws the same h, uniforms and exponentials. One surrogate_risk call per
+    replication scores the train risks, and one more every iterate on the
+    population (seed (di, ai)), a diverged one as a zero row. The population
+    is this call's alone, so it is freed on return. Records come alpha-major.
     """
     d, a = cfg.d_grid[di], cfg.a_grid[ai]
+    sims = [SimConfig(eta=cfg.eta, steps=cfg.steps, alpha=alpha, noise_scale=cfg.noise_scale)
+            for alpha in cfg.alpha_grid]
     pop_stream = RngStream(_derive_seed(cfg.master_seed, (di, ai)))
     population = generate_population(a, d, cfg.population_size, pop_stream)
-    thetas = np.zeros((len(replications), len(alphas), d))
+    thetas = np.zeros((len(replications), len(sims), d))
     # A diverged iterate gets a NaN train risk, so its gen_error is NaN.
-    train_risks = np.full((len(replications), len(alphas)), np.nan)
-    for i, (_, seed) in enumerate(replications):
-        stream = RngStream(seed)
+    train_risks = np.full(thetas.shape[:2], np.nan)
+    seeds = []
+    for i, r in enumerate(replications):
+        seeds.append(_derive_seed(cfg.master_seed, (di, ai, r)))
+        stream = RngStream(seeds[-1])
         idx = stream.fork(0).generator.integers(0, cfg.population_size, size=cfg.n)
         train = population[idx]
         problem = QuadraticProblem(train)
-        ok = np.zeros(len(alphas), dtype=bool)
-        for k, alpha in enumerate(alphas):
-            sim = SimConfig(eta=cfg.eta, steps=cfg.steps, alpha=alpha, noise_scale=cfg.noise_scale)
+        ok = np.zeros(len(sims), dtype=bool)
+        for k, sim in enumerate(sims):
             theta, diverged = final_iterate(problem, sim, stream.fork(1))
             if not diverged:
                 thetas[i, k], ok[k] = theta, True
@@ -220,34 +218,27 @@ def _grid_point_records(
         gens = np.abs(train_risks - pop_risks.reshape(train_risks.shape))
     return [
         RunRecord(r, alpha, a, d, cfg.n, cfg.p, seed, gen, not math.isfinite(gen))
-        for k, alpha in enumerate(alphas)
-        for (r, seed), gen in zip(replications, gens[:, k])
+        for k, alpha in enumerate(cfg.alpha_grid)
+        for r, seed, gen in zip(replications, seeds, gens[:, k])
     ]
 
 
 def run_synthetic_sweep(cfg: SweepConfig) -> list[RunRecord]:
-    """One RunRecord per (grid point x replication), in canonical grid order.
+    """One RunRecord per (grid point x replication x alpha), in canonical grid order.
 
-    Every record's randomness derives from its stored seed, keyed by grid
-    point and replication and shared by every alpha (population draws are
-    keyed by the grid point), so any execution schedule produces the
+    Every record's randomness derives from its grid point and replication
+    (see _grid_point_records), so any execution schedule produces the
     identical record set. One population is alive at a time.
     """
-    records = []
-    for di in range(len(cfg.d_grid)):
-        for ai in range(len(cfg.a_grid)):
-            replications = [
-                (r, _derive_seed(cfg.master_seed, (di, ai, r))) for r in range(cfg.replications)
-            ]
-            records += _grid_point_records(cfg, di, ai, cfg.alpha_grid, replications)
-    return records
+    return [record for di in range(len(cfg.d_grid)) for ai in range(len(cfg.a_grid))
+            for record in _grid_point_records(cfg, di, ai, range(cfg.replications))]
 
 
 def replay_record(cfg: SweepConfig, record: RunRecord) -> RunRecord:
-    """Recompute a record from its stored seed; must match the original bit-exactly."""
-    di = cfg.d_grid.index(record.d)
-    ai = cfg.a_grid.index(record.a)
-    return _grid_point_records(cfg, di, ai, [record.alpha], [(record.replication, record.seed)])[0]
+    """The record as the sweep's own call recomputes it, its seed derived from cfg, not read."""
+    di, ai = cfg.d_grid.index(record.d), cfg.a_grid.index(record.a)
+    records = _grid_point_records(cfg, di, ai, [record.replication])
+    return records[cfg.alpha_grid.index(record.alpha)]
 
 
 @dataclass(frozen=True, eq=False)

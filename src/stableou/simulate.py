@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AccuracyError, ParameterError, ShapeError
+from .errors import AccuracyError, ParameterError, ShapeError, integer
 from .rng import RngStream
 from .sampling import StableParams, sample_isotropic_stable, sample_skewed_positive_stable
 
@@ -48,10 +48,6 @@ class QuadraticProblem:
         self.n = n
         self.d = d
         A = X.T @ X / n
-        asym = np.max(np.abs(A - A.T))
-        scale = max(np.max(np.abs(A)), 1.0)
-        if asym > 1e-12 * scale:
-            raise ShapeError(f"drift matrix failed the symmetry check ({asym:.3e})")
         self.A = (A + A.T) / 2.0
         # A = eigenvectors @ diag(eigenvalues) @ eigenvectors.T, eigenvalues ascending.
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.A)
@@ -79,16 +75,15 @@ class SimConfig:
     def __post_init__(self):
         if not (self.eta > 0.0):
             raise ParameterError(f"eta must be positive, got {self.eta}")
-        if int(self.steps) < 1:
+        object.__setattr__(self, "steps", integer("steps", self.steps))
+        if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
         if not (0.0 < self.alpha <= 2.0):
             raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.burn_in is not None:
-            b = int(self.burn_in)
-            if not (0 <= b < self.steps):
+            object.__setattr__(self, "burn_in", integer("burn_in", self.burn_in))
+            if not (0 <= self.burn_in < self.steps):
                 raise ParameterError(f"burn_in must lie in [0, steps), got {self.burn_in}")
-            object.__setattr__(self, "burn_in", b)
         if not (self.noise_scale >= 0.0):
             raise ParameterError(f"noise_scale must be nonnegative, got {self.noise_scale}")
 
@@ -305,8 +300,8 @@ def stationary_sample(
     which only warns when it is short, since the draws are still usable as
     rough approximations.
     """
-    n_samples = int(n_samples)
-    thinning = int(thinning)
+    n_samples = integer("n_samples", n_samples)
+    thinning = integer("thinning", thinning)
     if n_samples < 0:
         raise ParameterError(f"n_samples must be nonnegative, got {n_samples}")
     if thinning < 1:

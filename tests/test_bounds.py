@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from stableou import (
     NO_THRESHOLD,
     BoundInputs,
+    NeighborPair,
     NoThreshold,
     ParameterError,
     StabilityRegime,
     alpha_factor,
     classify_regime,
+    exact_stability_gap,
     threshold_alpha0,
     upper_bound_1d,
     upper_bound_dd,
@@ -112,8 +114,24 @@ class TestUpperBound1d:
 
     def test_gaussian_squared_closed_form(self):
         b = BoundInputs(R=1.5, n=200, p=2.0, alpha=2.0, sigma2=0.8)
-        expected = 1.5**4 / (math.pi * 0.8**2 * 200)
+        expected = 1.5**4 / (0.8**2 * 200)
         assert upper_bound_1d(b) == pytest.approx(expected, rel=1e-12)
+        # The p -> 2 limit of the general formula, which holds for every p < 2.
+        with pytest.warns(RuntimeWarning, match="near its pole"):
+            near = upper_bound_1d(BoundInputs(R=1.5, n=200, p=2.0 - 1e-8, alpha=2.0, sigma2=0.8))
+        assert expected == pytest.approx(near, rel=1e-6)
+
+    @pytest.mark.parametrize("X, x_hat0, R", [
+        (np.ones(250), 2.0, 2.0),
+        (np.ones(1000), 0.5, 1.0),
+        (np.linspace(0.5, 1.5, 400), 3.0, 3.0),
+    ])
+    def test_gaussian_squared_dominates_the_exact_gap(self, X, x_hat0, R):
+        X_hat = X.copy()
+        X_hat[0] = x_hat0
+        sigma2 = max(float(np.mean(X**2)), float(np.mean(X_hat**2)))
+        upper = upper_bound_1d(BoundInputs(R=R, n=X.size, p=2.0, alpha=2.0, sigma2=sigma2))
+        assert upper >= exact_stability_gap(NeighborPair(X, X_hat), [[R]], 2.0, 2.0)
 
     def test_unstable_orders_return_the_sentinel(self):
         b = BoundInputs(R=1.0, n=100, p=1.5, alpha=1.5)
@@ -157,7 +175,11 @@ class TestUpperBoundDd:
 
     def test_gaussian_squared_closed_form(self):
         b = BoundInputs(R=1.0, n=1000, p=2.0, alpha=2.0, sigma=1.0, sigma_min=1.0)
-        assert upper_bound_dd(b) == pytest.approx(2.0 / (math.pi * 1000), rel=1e-12)
+        assert upper_bound_dd(b) == pytest.approx(4.0 / 1000, rel=1e-12)
+        # The p -> 2 limit of the general formula, which holds for every p < 2.
+        with pytest.warns(RuntimeWarning, match="near its pole"):
+            near = upper_bound_dd(BoundInputs(R=1.0, n=1000, p=2.0 - 1e-8, alpha=2.0))
+        assert upper_bound_dd(b) == pytest.approx(near, rel=1e-6)
 
     def test_unstable_orders_return_the_sentinel(self):
         b = BoundInputs(R=1.0, n=100, p=1.6, alpha=1.5)

@@ -458,6 +458,19 @@ class TestSweep:
         cfg = write_config(tmp_path, "s.json", {"alpha_grid": [1.5]})
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    def test_a_replication_count_beyond_memory_fails_at_once(self, tmp_path):
+        # Each seed is derived as its stream opens; a list of 10^18 made up front never ends.
+        cfg = write_config(tmp_path, "s.json", {"alpha_grid": [1.5], "a_grid": [1.0],
+                                                "d_grid": [2], "replications": 1e18})
+        out = tmp_path / "out"
+        command = [sys.executable, "-m", "stableou", "sweep", "--config", str(cfg),
+                   "--out", str(out)]
+        proc = subprocess.run(command, capture_output=True, text=True, env=package_env(),
+                              timeout=20)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and set(json.loads(proc.stderr)) == {"error", "message"}
+        assert not out.exists()
+
 
 class TestEstimateTail:
     def test_constant_data_gives_alpha_one(self, tmp_path):

@@ -248,6 +248,12 @@ class TestSyntheticSweep:
         for r in records:
             assert replay_record(cfg, r) == r
 
+    def test_replay_derives_the_seed_from_the_config(self):
+        cfg = SweepConfig(**TINY_SWEEP)
+        record = run_synthetic_sweep(cfg)[4]
+        forged = RunRecord(**{**vars(record), "seed": record.seed + 1})
+        assert replay_record(cfg, forged) == record != forged
+
     def test_replay_reproduces_each_record_across_risk_chunks(self):
         # Three full chunks of the population and a remainder.
         cfg = SweepConfig(**{**TINY_SWEEP, "d_grid": (3,), "population_size": 3 * COLS + 100})

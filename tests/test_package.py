@@ -1,4 +1,19 @@
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
 import stableou
+from stableou import (
+    BoundInputs,
+    ParameterError,
+    QuadraticProblem,
+    RngStream,
+    SimConfig,
+    SweepConfig,
+    stationary_sample,
+)
 
 
 def test_every_exported_name_resolves():
@@ -78,3 +93,47 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     assert PUBLIC_API == sorted(PUBLIC_API) and len(PUBLIC_API) == 57
     assert stableou.__all__ == PUBLIC_API
+
+
+SWEEP = dict(alpha_grid=(1.5,), a_grid=(1.0,), d_grid=(2,))
+SIM = SimConfig(eta=0.1, steps=100, alpha=1.5)
+
+
+def draw(**kwargs):
+    return stationary_sample(QuadraticProblem(np.ones(10)), SIM, RngStream(0), **kwargs)
+
+
+# Each of these once ran on a truncated count or failed inside numpy.
+@pytest.mark.parametrize("build, field", [
+    (lambda: SimConfig(eta=0.1, steps=2.7, alpha=1.5), "steps"),
+    (lambda: SimConfig(eta=0.1, steps=10, alpha=1.5, burn_in=2.9), "burn_in"),
+    (lambda: draw(n_samples=2.9), "n_samples"),
+    (lambda: draw(n_samples=2, thinning=1.7), "thinning"),
+    (lambda: SweepConfig(**SWEEP, steps=2.5), "steps"),
+    (lambda: SweepConfig(**SWEEP, replications=True), "replications"),
+    (lambda: SweepConfig(**SWEEP, n=2.5), "n"),
+    (lambda: SweepConfig(**SWEEP, population_size=1000.5), "population_size"),
+    (lambda: SweepConfig(**SWEEP, master_seed=1.5), "master_seed"),
+    (lambda: BoundInputs(R=1.0, n=True, p=1.0, alpha=1.5), "n"),
+], ids=["sim-steps", "sim-burn_in", "sample-n_samples", "sample-thinning", "sweep-steps",
+        "sweep-replications", "sweep-n", "sweep-population_size", "sweep-master_seed",
+        "bounds-n"])
+def test_non_integral_counts_are_refused(build, field):
+    with pytest.raises(ParameterError, match=f"^{field} must be"):
+        build()
+
+
+def test_benchmark_tracer_restores_every_name_it_wraps(monkeypatch):
+    # perfbench/layers.py wraps each name where its caller looks it up; a name
+    # missing there breaks `perfbench/run.py --trace 1` and nothing else.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+
+    def current():
+        return [owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+                for owner, attr, *_ in layers._WRAPPED]
+
+    before = current()
+    with layers.Tracer():
+        assert all(now is not then for now, then in zip(current(), before))
+    assert all(now is then for now, then in zip(current(), before))
