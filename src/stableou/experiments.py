@@ -16,17 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DegenerateDataError, ParameterError, ShapeError, integer, is_real
+from .errors import ParameterError, ShapeError, integer, is_real
 from .rng import RngStream
 from .sampling import sample_isotropic_stable  # noqa: F401  (looked up here by perfbench/layers.py)
 from .simulate import (
     QuadraticProblem,
     SimConfig,
-    _driving_noise,
-    _in_range,
-    _recursion,
-    check_step_size,
-    default_burn_in,
+    coupled_stationary_draws,
     euler_maruyama_run,  # noqa: F401  (looked up here by perfbench/layers.py)
     final_iterate,
 )
@@ -94,7 +90,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One replication's outcome; re-running with the stored seed reproduces it.
+    """One replication's outcome, which replay_record recomputes from the sweep's config alone.
 
     Each field is coerced to its annotated type, so a record built from
     numpy scalars or from the strings of a CSV row holds plain Python values.
@@ -128,6 +124,7 @@ def generate_population(a: float, d: int, N: int, stream: RngStream) -> np.ndarr
     """N i.i.d. points with coordinates uniform on (-a/2, a/2)."""
     if not a > 0:
         raise ParameterError(f"a must be positive, got {a}")
+    d, N = integer("d", d), integer("N", N)
     if d < 1 or N < 1:
         raise ParameterError(f"d and N must be positive, got d={d}, N={N}")
     return stream.generator.uniform(-a / 2.0, a / 2.0, size=(N, d))
@@ -256,34 +253,6 @@ class StabilityGapEstimate:
     per_probe_gap: np.ndarray
 
 
-def _coupled_stationary_draws(
-    pair: NeighborPair, sim: SimConfig, n_mc: int, stream: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    # Both chains are driven by the SAME noise realizations (common random
-    # numbers); the O(1/n) gap between the two stationary means would
-    # otherwise drown in Monte-Carlo error at any affordable sample size.
-    problems = (pair.problem, pair.problem_hat)
-    check_step_size(max(problems, key=lambda prob: prob.lambda_max), sim)
-    slowest = min(problems, key=lambda prob: prob.lambda_min)
-    if slowest.lambda_min <= 0.0:
-        raise DegenerateDataError(
-            f"smallest Gram eigenvalue is {slowest.lambda_min:.4g}; the chains do not mix"
-        )
-    burn = default_burn_in(slowest, sim)
-    d = pair.d
-    noise_stream = stream.fork(0)
-    shocks = (_driving_noise(d, sim, noise_stream, n_mc).T for _ in range(burn))
-    # Chain j of dataset i is column j of state[i].
-    state = np.zeros((2, d, n_mc))
-    A = np.stack([prob.A for prob in problems])
-    for step, state in enumerate(_recursion(state, A, sim.eta, shocks), 1):
-        if not _in_range(state):
-            raise AccuracyError(
-                f"coupled chains overflowed at step {step} of a {burn}-step burn-in"
-            )
-    return state[0].T, state[1].T
-
-
 def empirical_stability_gap(
     pair: NeighborPair,
     probe_points,
@@ -302,13 +271,14 @@ def empirical_stability_gap(
     if sim.alpha != alpha:
         raise ParameterError(f"alpha={alpha} differs from the chain's sim.alpha={sim.alpha}")
     probes = _gap_probes(pair, probe_points, p, alpha)
+    n_mc = integer("n_mc", n_mc)
     if n_mc < 100:
         warnings.warn(
             f"n_mc={n_mc} is very small; the gap estimate will be dominated by noise",
             RuntimeWarning,
             stacklevel=2,
         )
-    theta, theta_hat = _coupled_stationary_draws(pair, sim, n_mc, stream)
+    theta, theta_hat = coupled_stationary_draws(pair.problem, pair.problem_hat, sim, n_mc, stream)
     diffs = np.abs(theta @ probes.T) ** p - np.abs(theta_hat @ probes.T) ** p
     gaps = diffs.mean(axis=0)
     j = int(np.argmax(np.abs(gaps)))
@@ -328,6 +298,7 @@ def cauchy_doubling_check(values, initial_window: int = 1000, rel_tol: float = 0
     keep drifting by a roughly constant factor per doubling and fail.
     """
     x = np.asarray(values, dtype=float).reshape(-1)
+    initial_window = integer("initial_window", initial_window)
     if initial_window < 1:
         raise ParameterError(f"initial_window must be positive, got {initial_window}")
     if x.shape[0] < 2 * initial_window:

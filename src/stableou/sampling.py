@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, integer
 from .rng import RngStream
 from .special import gamma_fn
 
@@ -63,7 +63,7 @@ def sample_sas_scalar(params: StableParams, stream: RngStream, size: int):
     The alpha=2 draw is Gaussian with variance 2 sigma^2 and alpha=1 is
     Cauchy with scale sigma, matching exp(-sigma^alpha |u|^alpha).
     """
-    n = int(size)
+    n = integer("size", size)
     if n < 0:
         raise ParameterError(f"size must be nonnegative, got {size}")
     gen = stream.generator
@@ -95,7 +95,7 @@ def sample_skewed_positive_stable(alpha_prime: float, stream: RngStream, size: i
     """
     if not (0.0 < alpha_prime < 1.0):
         raise ParameterError(f"alpha_prime must lie in (0, 1), got {alpha_prime}")
-    n = int(size)
+    n = integer("size", size)
     if n < 0:
         raise ParameterError(f"size must be nonnegative, got {size}")
     gen = stream.generator
@@ -123,10 +123,10 @@ def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, siz
     as +inf or nan, without a numpy warning; the recursion reports such a
     draw as divergence.
     """
-    d = int(d)
+    d = integer("d", d)
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
-    n = int(size)
+    n = integer("size", size)
     if n < 0:
         raise ParameterError(f"size must be nonnegative, got {size}")
     gen = stream.generator

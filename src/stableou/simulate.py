@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AccuracyError, ParameterError, ShapeError, integer
+from .errors import AccuracyError, DegenerateDataError, ParameterError, ShapeError, integer
 from .rng import RngStream
 from .sampling import StableParams, sample_isotropic_stable, sample_skewed_positive_stable
 
@@ -110,18 +110,18 @@ class Trajectory:
 def default_burn_in(problem: QuadraticProblem, config: SimConfig) -> int:
     """config.burn_in if set, else ten mixing times 1/(eta * lambda_min) capped at steps - 1.
 
+    Raises DegenerateDataError when lambda_min <= 0: along that eigenvector
+    the chain is a random walk with no stationary law, whatever the burn-in.
     Warns when exp(-lambda_min * eta * burn_in) stays at or above 1e-4: the
     draws after such a burn-in still carry some of the initial point.
     """
     lam = problem.lambda_min
-    if config.burn_in is not None:
-        burn_in = config.burn_in
-    elif lam <= 0.0:
-        burn_in = config.steps - 1
-    else:
-        est = int(math.ceil(_BURN_IN_MIXING_TIMES / (config.eta * lam)))
-        burn_in = min(est, config.steps - 1)
-    if lam <= 0.0 or math.exp(-lam * config.eta * burn_in) >= _BURN_IN_TOL:
+    if lam <= 0.0:
+        raise DegenerateDataError(f"smallest Gram eigenvalue is {lam:.4g}; the chain does not mix")
+    burn_in = config.burn_in
+    if burn_in is None:
+        burn_in = min(math.ceil(_BURN_IN_MIXING_TIMES / (config.eta * lam)), config.steps - 1)
+    if math.exp(-lam * config.eta * burn_in) >= _BURN_IN_TOL:
         warnings.warn(
             f"burn-in of {burn_in} steps may be too short to reach stationarity "
             f"(lambda_min = {lam:.4g}, eta = {config.eta:.4g})",
@@ -185,6 +185,33 @@ def _stepped_path(theta0, A, eta, shocks) -> tuple[np.ndarray, bool]:
             return path, False
         ok = np.all(np.abs(rows) <= OVERFLOW_LIMIT, axis=1)
     return path[: int(np.argmin(ok)) + 1], True
+
+
+def coupled_stationary_draws(
+    problem: QuadraticProblem, problem_hat: QuadraticProblem, sim: SimConfig, n_mc: int,
+    stream: RngStream,
+) -> tuple[np.ndarray, np.ndarray]:
+    """n_mc draws of each problem's chain from zero after the slower chain's default_burn_in.
+
+    Row j of both (n_mc, d) arrays is stepped on the same shocks (common
+    random numbers); the O(1/n) gap between the two stationary means would
+    otherwise drown in Monte-Carlo error at any affordable sample size.
+    Raises AccuracyError if the chains overflow during the burn-in.
+    """
+    problems = (problem, problem_hat)
+    check_step_size(max(problems, key=lambda prob: prob.lambda_max), sim)
+    burn = default_burn_in(min(problems, key=lambda prob: prob.lambda_min), sim)
+    noise_stream = stream.fork(0)
+    shocks = (_driving_noise(problem.d, sim, noise_stream, n_mc).T for _ in range(burn))
+    # Chain j of problems[i] is column j of state[i].
+    state = np.zeros((2, problem.d, n_mc))
+    A = np.stack([prob.A for prob in problems])
+    for step, state in enumerate(_recursion(state, A, sim.eta, shocks), 1):
+        if not _in_range(state):
+            raise AccuracyError(
+                f"coupled chains overflowed at step {step} of a {burn}-step burn-in"
+            )
+    return state[0].T, state[1].T
 
 
 def _driving_noise(d: int, config: SimConfig, stream: RngStream | None, size: int) -> np.ndarray:
@@ -297,8 +324,8 @@ def stationary_sample(
     """Approximate stationary draws: post-burn-in iterates every ``thinning`` steps.
 
     Returns an (n_samples, d) array. The burn-in is ``default_burn_in``'s,
-    which only warns when it is short, since the draws are still usable as
-    rough approximations.
+    which refuses a singular Gram matrix and only warns when the burn-in is
+    short, since the draws are still usable as rough approximations.
     """
     n_samples = integer("n_samples", n_samples)
     thinning = integer("thinning", thinning)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, ShapeError
+from .errors import DegenerateDataError, ParameterError, ShapeError, integer
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ def estimate_tail_index(vectors, K1: int, K2: int) -> TailEstimate:
     the block structure makes the result order-sensitive by construction.
     A constant nonzero input returns alpha_hat = 1 exactly.
     """
+    K1, K2 = integer("K1", K1), integer("K2", K2)
     if K1 < 2:
         raise ParameterError(f"K1 must be at least 2, got {K1}")
     if K2 < 1:
@@ -66,7 +67,7 @@ def estimate_tail_index(vectors, K1: int, K2: int) -> TailEstimate:
         # every block sum is exactly K1 copies of the common vector, so the
         # bracket collapses to log K1; evaluating the logs would smear the
         # exact answer by rounding
-        return TailEstimate(alpha_hat=1.0, K1=int(K1), K2=int(K2), sample_count_used=needed)
+        return TailEstimate(alpha_hat=1.0, K1=K1, K2=K2, sample_count_used=needed)
     blocks = x.reshape(K2, K1, x.shape[1]).sum(axis=1)
     block_norms = np.linalg.norm(blocks, axis=1)
     zero = np.flatnonzero(block_norms == 0.0)
@@ -81,7 +82,7 @@ def estimate_tail_index(vectors, K1: int, K2: int) -> TailEstimate:
             "samples are incompatible with a heavy-tail model"
         )
     return TailEstimate(
-        alpha_hat=float(1.0 / inv_alpha), K1=int(K1), K2=int(K2), sample_count_used=needed
+        alpha_hat=float(1.0 / inv_alpha), K1=K1, K2=K2, sample_count_used=needed
     )
 
 

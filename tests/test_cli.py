@@ -454,6 +454,16 @@ class TestSweep:
         assert not (out / "sweep_a2_d1.svg").exists()
         assert read_manifest(out)["outputs"] == ["aggregate.csv", "records.csv"]
 
+    def test_one_alpha_and_one_replication_plot_one_point(self, tmp_path):
+        # Both axes then have zero span, and each is widened to a unit one.
+        cfg = write_config(tmp_path, "s.json",
+                           {**SWEEP_CFG, "alpha_grid": [1.5], "replications": 1})
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        svg = (out / "sweep_a2_d2.svg").read_text()
+        assert '<polyline points="70.00,335.91"' in svg
+        assert ">1.5</text>" in svg and ">2.5</text>" in svg
+
     def test_missing_grids_fail(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", {"alpha_grid": [1.5]})
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -516,6 +526,18 @@ class TestEstimateTail:
                            "--k2", "5", "--out", str(out)], capsys)
         assert err == {"error": "ParameterError",
                        "message": f"{data_csv} row 7 is not finite: -inf"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "contains no data"), ("x_1,x_2\n", "contains a header but no rows"),
+    ], ids=["empty", "header-only"])
+    def test_csv_without_rows_fails_before_any_output(self, text, message, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text(text)
+        out = tmp_path / "out"
+        err = run_failing(["estimate-tail", "--input-csv", str(data_csv), "--k1", "5",
+                           "--k2", "5", "--out", str(out)], capsys)
+        assert err == {"error": "ShapeError", "message": f"{data_csv} {message}"}
         assert not out.exists()
 
 

@@ -36,7 +36,7 @@ from stableou import (
 )
 from stableou import experiments, sampling, simulate
 from stableou.experiments import _RISK_COLS as COLS
-from stableou.experiments import _coupled_stationary_draws
+from stableou.simulate import coupled_stationary_draws
 
 TINY_SWEEP = dict(
     alpha_grid=(1.5, 2.0),
@@ -565,6 +565,14 @@ class TestEmpiricalStabilityGap:
         with pytest.raises(ParameterError, match="differs from the chain's sim.alpha"):
             empirical_stability_gap(pair, PROBES_1D, 1.0, 1.6, sim, 200, RngStream(0))
 
+    def test_singular_gram_matrix_is_refused(self):
+        # X's Gram eigenvalues are (0, 2): its chain is a random walk along e_2.
+        X = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        pair = NeighborPair(X, [[1.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+        sim = SimConfig(eta=0.1, steps=1000, alpha=2.0, noise_scale=1.0)
+        with pytest.raises(DegenerateDataError, match="eigenvalue is 0; the chain does not mix"):
+            empirical_stability_gap(pair, [[1.0, 1.0]], 1.0, 2.0, sim, 200, RngStream(0))
+
     def test_too_coarse_step_rejected(self):
         pair = make_1d_pair()
         sim = SimConfig(eta=1.9, steps=100, alpha=1.5, noise_scale=1.0)
@@ -580,7 +588,9 @@ class TestEmpiricalStabilityGap:
         X_hat[0] = gen.normal(size=3)
         pair = NeighborPair(X, X_hat)
         sim = SimConfig(eta=0.2, steps=200, alpha=1.5, noise_scale=0.7, burn_in=100)
-        theta, theta_hat = _coupled_stationary_draws(pair, sim, 40, RngStream(12))
+        theta, theta_hat = coupled_stationary_draws(
+            pair.problem, pair.problem_hat, sim, 40, RngStream(12)
+        )
         noise_stream = RngStream(12).fork(0)
         shocks = [
             0.7 * 0.2 ** (1.0 / 1.5)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 
@@ -7,11 +8,20 @@ import pytest
 import stableou
 from stableou import (
     BoundInputs,
+    NeighborPair,
     ParameterError,
     QuadraticProblem,
     RngStream,
     SimConfig,
+    StableParams,
     SweepConfig,
+    cauchy_doubling_check,
+    empirical_stability_gap,
+    estimate_tail_index,
+    generate_population,
+    sample_isotropic_stable,
+    sample_sas_scalar,
+    sample_skewed_positive_stable,
     stationary_sample,
 )
 
@@ -97,6 +107,8 @@ def test_public_api_is_pinned():
 
 SWEEP = dict(alpha_grid=(1.5,), a_grid=(1.0,), d_grid=(2,))
 SIM = SimConfig(eta=0.1, steps=100, alpha=1.5)
+LAW = StableParams(1.5, 1.0)
+PAIR = NeighborPair(np.ones(10), np.ones(10))
 
 
 def draw(**kwargs):
@@ -115,9 +127,18 @@ def draw(**kwargs):
     (lambda: SweepConfig(**SWEEP, population_size=1000.5), "population_size"),
     (lambda: SweepConfig(**SWEEP, master_seed=1.5), "master_seed"),
     (lambda: BoundInputs(R=1.0, n=True, p=1.0, alpha=1.5), "n"),
+    (lambda: sample_sas_scalar(LAW, RngStream(0), size=2.7), "size"),
+    (lambda: sample_isotropic_stable(2.9, LAW, RngStream(0), size=3.5), "d"),
+    (lambda: sample_isotropic_stable(2, LAW, RngStream(0), size=3.5), "size"),
+    (lambda: sample_skewed_positive_stable(0.5, RngStream(0), size=True), "size"),
+    (lambda: generate_population(1.0, 2.5, 3, RngStream(0)), "d"),
+    (lambda: estimate_tail_index(np.ones((200, 2)), 10.5, 10), "K1"),
+    (lambda: cauchy_doubling_check(np.ones(400), initial_window=100.5), "initial_window"),
+    (lambda: empirical_stability_gap(PAIR, [[1.0]], 1.0, 1.5, SIM, 200.5, RngStream(0)), "n_mc"),
 ], ids=["sim-steps", "sim-burn_in", "sample-n_samples", "sample-thinning", "sweep-steps",
         "sweep-replications", "sweep-n", "sweep-population_size", "sweep-master_seed",
-        "bounds-n"])
+        "bounds-n", "sas-size", "isotropic-d", "isotropic-size", "skewed-size",
+        "population-d", "tail-K1", "doubling-initial_window", "gap-n_mc"])
 def test_non_integral_counts_are_refused(build, field):
     with pytest.raises(ParameterError, match=f"^{field} must be"):
         build()
@@ -137,3 +158,18 @@ def test_benchmark_tracer_restores_every_name_it_wraps(monkeypatch):
     with layers.Tracer():
         assert all(now is not then for now, then in zip(current(), before))
     assert all(now is then for now, then in zip(current(), before))
+
+
+def test_no_module_imports_a_private_name_from_simulate():
+    # simulate.py steps every chain; the other modules call only its public names.
+    modules = [path for path in Path(stableou.__file__).parent.glob("*.py")
+               if path.name != "simulate.py"]
+    private = [
+        (path.name, alias.name)
+        for path in sorted(modules)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, "simulate"), (0, "stableou.simulate"))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert modules and private == []

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.stats
 
 from stableou import (
     AccuracyError,
+    DegenerateDataError,
     ParameterError,
     QuadraticProblem,
     RngStream,
@@ -122,8 +124,10 @@ def test_unstable_override_warns_and_flags_divergence():
 def test_noise_requires_a_stream():
     prob = make_problem()
     cfg = SimConfig(eta=0.05, steps=10, alpha=1.5, noise_scale=1.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="a stream is required"):
         euler_maruyama_run(prob, cfg, None, None)
+    with pytest.raises(ParameterError, match="a stream is required"):
+        final_iterate(prob, cfg)
 
 
 def test_trajectory_is_deterministic_in_the_seed():
@@ -335,7 +339,31 @@ def test_default_burn_in_is_ten_mixing_times():
         assert default_burn_in(prob, short) == 499
 
 
+# The Gram eigenvalues are (0, 2): along e_2 the chain is a random walk whose
+# spread grows with the burn-in, so no burn-in gives stationary draws.
+SINGULAR = QuadraticProblem(np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+NOISY = SimConfig(eta=0.1, steps=10000, alpha=2.0, noise_scale=1.0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: default_burn_in(SINGULAR, NOISY),
+    lambda: stationary_sample(SINGULAR, NOISY, RngStream(0), 10),
+    lambda: stationary_sample(SINGULAR, replace(NOISY, burn_in=100), RngStream(0), 10),
+], ids=["default_burn_in", "stationary_sample", "stationary_sample-burn_in"])
+def test_a_singular_gram_matrix_does_not_mix(draw):
+    with pytest.raises(DegenerateDataError, match="eigenvalue is 0; the chain does not mix"):
+        draw()
+
+
 class TestStationarySample:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_samples=-1), "n_samples must be nonnegative"),
+        (dict(n_samples=10, thinning=0), "thinning must be >= 1"),
+    ], ids=["n_samples", "thinning"])
+    def test_bad_counts_rejected(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            stationary_sample(make_problem(), NOISY, RngStream(0), **kwargs)
+
     def test_empty_request(self):
         prob = make_problem()
         cfg = SimConfig(eta=0.05, steps=100, alpha=1.5, burn_in=10)
