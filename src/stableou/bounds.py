@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ParameterError, is_real, reject_unread
+from .errors import ParameterError, integer, loss_power, positive, reject_unread, tail_index
 from .special import digamma, gamma_fn
 
 # Relative distance of p below alpha at which the Gamma(1 - p/alpha) pole
@@ -61,17 +61,11 @@ class BoundInputs:
     delta2: float = 0.0
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ParameterError(f"R must be positive, got {self.R}")
-        if not (is_real(self.n, integral=True) and self.n >= 1):
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        if not (1.0 <= self.p <= 2.0):
-            raise ParameterError(f"p must lie in [1, 2], got {self.p}")
-        if not (0.0 < self.alpha <= 2.0):
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
-        for name in ("sigma2", "sigma", "sigma_min"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+        integer("n", self.n, least=1)
+        loss_power(self.p)
+        tail_index(self.alpha)
+        for name in ("R", "sigma2", "sigma", "sigma_min"):
+            positive(name, getattr(self, name))
         # The bound holds with probability 1 - delta1 - 2 delta2, so each
         # failure budget must leave that floor positive on its own.
         if not 0.0 <= self.delta1 < 1.0:
@@ -85,10 +79,8 @@ class BoundInputs:
         return 1.0 - self.delta1 - 2.0 * self.delta2
 
 def classify_regime(p: float, alpha: float) -> StabilityRegime:
-    if not (1.0 <= p <= 2.0):
-        raise ParameterError(f"p must lie in [1, 2], got {p}")
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+    loss_power(p)
+    tail_index(alpha)
     if p < alpha:
         return StabilityRegime.STABLE_SURROGATE
     if p == 2.0 and alpha == 2.0:

@@ -39,7 +39,8 @@ from .bounds import (
     upper_bound_dd,
     variance_threshold,
 )
-from .errors import AccuracyError, ParameterError, ShapeError, StableOUError, reject_unread
+from .errors import (AccuracyError, ParameterError, ShapeError, StableOUError, positive,
+                     reject_unread)
 from .experiments import (
     SweepConfig,
     _write_csv,
@@ -345,9 +346,9 @@ def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
         raise ParameterError(f"d must be at least 1, got {d}")
     if d > 1:
         reject_unread(f"verify-charfn at d={d}", ("u_max",), cfg, _DEFAULTS["verify-charfn"])
-    elif not u_max > 0:
+    else:
         # At u_max = 0 every grid point is u = 0, where both char. fns are 1: no check at all.
-        raise ParameterError(f"u_max must be positive, got {u_max}")
+        positive("u_max", u_max)
     n_points = cfg.setdefault("n_points", 25 if d == 1 else 100)
     if n_points < 1:
         raise ParameterError(f"n_points must be at least 1, got {n_points}")

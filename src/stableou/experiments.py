@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, integer, is_real
+from .errors import ParameterError, ShapeError, integer, is_real, loss_power, positive
 from .rng import RngStream
 from .sampling import sample_isotropic_stable  # noqa: F401  (looked up here by perfbench/layers.py)
 from .simulate import (
@@ -68,22 +68,15 @@ class SweepConfig:
             if len(set(grid)) != len(grid):
                 raise ParameterError(f"{name} has duplicate entries")
             object.__setattr__(self, name, tuple(kind(x) for x in grid))
-        for name in ("n", "population_size", "replications", "master_seed"):  # steps: see SimConfig
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        for name, least in (("n", 1), ("replications", 1), ("master_seed", None)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
+        object.__setattr__(self, "population_size",
+                           integer("population_size", self.population_size, least=self.n))
         if any(a <= 0 for a in self.a_grid):
             raise ParameterError("a_grid entries must be positive")
         if any(d < 1 for d in self.d_grid):
             raise ParameterError("d_grid entries must be positive")
-        if self.n < 1:
-            raise ParameterError(f"n must be positive, got {self.n}")
-        if self.population_size < self.n:
-            raise ParameterError(
-                f"population_size {self.population_size} is smaller than n {self.n}"
-            )
-        if self.replications < 1:
-            raise ParameterError(f"replications must be positive, got {self.replications}")
-        if not (1.0 <= self.p <= 2.0):
-            raise ParameterError(f"p must lie in [1, 2], got {self.p}")
+        loss_power(self.p)
         for alpha in self.alpha_grid:  # SimConfig checks each chain as _grid_point_records runs it
             SimConfig(eta=self.eta, steps=self.steps, alpha=alpha, noise_scale=self.noise_scale)
 
@@ -122,11 +115,8 @@ def _derive_seed(master_seed: int, key: tuple) -> int:
 
 def generate_population(a: float, d: int, N: int, stream: RngStream) -> np.ndarray:
     """N i.i.d. points with coordinates uniform on (-a/2, a/2)."""
-    if not a > 0:
-        raise ParameterError(f"a must be positive, got {a}")
-    d, N = integer("d", d), integer("N", N)
-    if d < 1 or N < 1:
-        raise ParameterError(f"d and N must be positive, got d={d}, N={N}")
+    positive("a", a)
+    d, N = integer("d", d, least=1), integer("N", N, least=1)
     return stream.generator.uniform(-a / 2.0, a / 2.0, size=(N, d))
 
 
@@ -142,8 +132,7 @@ def surrogate_risk(theta, data, p: float):
     converted to float64, once and one chunk at a time whatever k is. One
     theta gives a float, a stack an array of k risks.
     """
-    if not (1.0 <= p <= 2.0):
-        raise ParameterError(f"p must lie in [1, 2], got {p}")
+    loss_power(p)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     thetas = np.atleast_2d(theta)
     data = np.asarray(data)
@@ -298,9 +287,11 @@ def cauchy_doubling_check(values, initial_window: int = 1000, rel_tol: float = 0
     keep drifting by a roughly constant factor per doubling and fail.
     """
     x = np.asarray(values, dtype=float).reshape(-1)
-    initial_window = integer("initial_window", initial_window)
-    if initial_window < 1:
-        raise ParameterError(f"initial_window must be positive, got {initial_window}")
+    initial_window = integer("initial_window", initial_window, least=1)
+    # max(0.0, nan) is 0.0, so a nan window would otherwise read as settled.
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ParameterError(f"values must be finite; entry {bad[0]} is {x[bad[0]]}")
     if x.shape[0] < 2 * initial_window:
         raise ShapeError(
             f"need at least 2*initial_window = {2 * initial_window} values, got {x.shape[0]}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, integer
+from .errors import ParameterError, integer, positive, sample_rows, tail_index, vector
 from .rng import RngStream
 from .special import gamma_fn
 
@@ -30,10 +30,8 @@ class StableParams:
     sigma: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not (self.sigma > 0.0):
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
+        tail_index(self.alpha)
+        positive("sigma", self.sigma)
 
 
 def _uniform_angles(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -63,9 +61,7 @@ def sample_sas_scalar(params: StableParams, stream: RngStream, size: int):
     The alpha=2 draw is Gaussian with variance 2 sigma^2 and alpha=1 is
     Cauchy with scale sigma, matching exp(-sigma^alpha |u|^alpha).
     """
-    n = integer("size", size)
-    if n < 0:
-        raise ParameterError(f"size must be nonnegative, got {size}")
+    n = integer("size", size, least=0)
     gen = stream.generator
     alpha, sigma = params.alpha, params.sigma
 
@@ -95,9 +91,7 @@ def sample_skewed_positive_stable(alpha_prime: float, stream: RngStream, size: i
     """
     if not (0.0 < alpha_prime < 1.0):
         raise ParameterError(f"alpha_prime must lie in (0, 1), got {alpha_prime}")
-    n = integer("size", size)
-    if n < 0:
-        raise ParameterError(f"size must be nonnegative, got {size}")
+    n = integer("size", size, least=0)
     gen = stream.generator
 
     u = _uniform_angles(gen, n)
@@ -123,12 +117,8 @@ def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, siz
     as +inf or nan, without a numpy warning; the recursion reports such a
     draw as divergence.
     """
-    d = integer("d", d)
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
-    n = integer("size", size)
-    if n < 0:
-        raise ParameterError(f"size must be nonnegative, got {size}")
+    d = integer("d", d, least=1)
+    n = integer("size", size, least=0)
     gen = stream.generator
     alpha, sigma = params.alpha, params.sigma
 
@@ -145,17 +135,10 @@ def empirical_char_fn(samples, u) -> complex:
     ``samples`` is an (N, d) array (or (N,) for scalars), ``u`` a length-d
     vector (or scalar). Modulus is at most 1 by construction.
     """
-    arr = np.asarray(samples, dtype=float)
+    arr = sample_rows(samples)
     if arr.size == 0:
         raise ParameterError("empirical_char_fn needs at least one sample")
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    elif arr.ndim != 2:
-        raise ShapeError(f"samples must be 1- or 2-dimensional, got shape {arr.shape}")
-    uvec = np.atleast_1d(np.asarray(u, dtype=float))
-    if uvec.ndim != 1 or uvec.shape[0] != arr.shape[1]:
-        raise ShapeError(f"u has shape {np.shape(u)} but samples have dimension {arr.shape[1]}")
-    return complex(np.mean(np.exp(1j * (arr @ uvec))))
+    return complex(np.mean(np.exp(1j * (arr @ vector(u, arr.shape[1])))))
 
 
 def sas_abs_moment(p: float, alpha: float, sigma: float = 1.0) -> float:
@@ -165,13 +148,11 @@ def sas_abs_moment(p: float, alpha: float, sigma: float = 1.0) -> float:
     / (Gamma(1 - p/2) sqrt(pi)); at alpha = 2 the Gamma ratio is 1 and this
     is the absolute moment of N(0, 2 sigma^2), finite for every p > 0.
     """
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+    tail_index(alpha)
     if not (0.0 < p and (p < alpha or alpha == 2.0)):
         raise ParameterError(
             f"the moment is finite only for 0 < p < alpha or alpha = 2, got p={p}, alpha={alpha}"
         )
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    positive("sigma", sigma)
     ratio = 1.0 if alpha == 2.0 else gamma_fn(1.0 - p / alpha) / gamma_fn(1.0 - p / 2.0)
     return sigma**p * 2.0**p * gamma_fn((p + 1.0) / 2.0) * ratio / math.sqrt(math.pi)

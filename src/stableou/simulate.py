@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AccuracyError, DegenerateDataError, ParameterError, ShapeError, integer
+from .errors import (AccuracyError, DegenerateDataError, ParameterError, ShapeError, integer,
+                     positive, sample_rows, tail_index)
 from .rng import RngStream
 from .sampling import StableParams, sample_isotropic_stable, sample_skewed_positive_stable
 
@@ -35,11 +36,7 @@ class QuadraticProblem:
     """Data X with the derived drift A = (1/n) X^T X; there is no label term."""
 
     def __init__(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        if X.ndim != 2:
-            raise ShapeError(f"X must be an (n, d) matrix, got shape {X.shape}")
+        X = sample_rows(X)
         n, d = X.shape
         if n < 1 or d < 1:
             raise ShapeError(f"X needs n >= 1 and d >= 1, got shape {X.shape}")
@@ -73,13 +70,9 @@ class SimConfig:
     allow_unstable: bool = False
 
     def __post_init__(self):
-        if not (self.eta > 0.0):
-            raise ParameterError(f"eta must be positive, got {self.eta}")
-        object.__setattr__(self, "steps", integer("steps", self.steps))
-        if self.steps < 1:
-            raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        if not (0.0 < self.alpha <= 2.0):
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
+        positive("eta", self.eta)
+        object.__setattr__(self, "steps", integer("steps", self.steps, least=1))
+        tail_index(self.alpha)
         if self.burn_in is not None:
             object.__setattr__(self, "burn_in", integer("burn_in", self.burn_in))
             if not (0 <= self.burn_in < self.steps):
@@ -107,17 +100,26 @@ class Trajectory:
         return self.iterates[-1]
 
 
+def require_mixing(lam: float) -> None:
+    """Raise DegenerateDataError unless lam, the smallest Gram eigenvalue, is above 0.
+
+    At 0 the chain is a random walk along that eigenvector, with no stationary
+    law whatever the burn-in. nan, from data with a nan entry, fails too.
+    """
+    if not lam > 0.0:
+        raise DegenerateDataError(f"smallest Gram eigenvalue is {lam:.4g}; the chain does not mix")
+
+
 def default_burn_in(problem: QuadraticProblem, config: SimConfig) -> int:
     """config.burn_in if set, else ten mixing times 1/(eta * lambda_min) capped at steps - 1.
 
-    Raises DegenerateDataError when lambda_min <= 0: along that eigenvector
-    the chain is a random walk with no stationary law, whatever the burn-in.
-    Warns when exp(-lambda_min * eta * burn_in) stays at or above 1e-4: the
-    draws after such a burn-in still carry some of the initial point.
+    Raises require_mixing's DegenerateDataError for a chain with no
+    stationary law. Warns when exp(-lambda_min * eta * burn_in) stays at or
+    above 1e-4: the draws after such a burn-in still carry some of the
+    initial point.
     """
     lam = problem.lambda_min
-    if lam <= 0.0:
-        raise DegenerateDataError(f"smallest Gram eigenvalue is {lam:.4g}; the chain does not mix")
+    require_mixing(lam)
     burn_in = config.burn_in
     if burn_in is None:
         burn_in = min(math.ceil(_BURN_IN_MIXING_TIMES / (config.eta * lam)), config.steps - 1)
@@ -200,6 +202,8 @@ def coupled_stationary_draws(
     """
     problems = (problem, problem_hat)
     check_step_size(max(problems, key=lambda prob: prob.lambda_max), sim)
+    for prob in problems:  # min below would pass over a nan lambda_min on problem_hat
+        require_mixing(prob.lambda_min)
     burn = default_burn_in(min(problems, key=lambda prob: prob.lambda_min), sim)
     noise_stream = stream.fork(0)
     shocks = (_driving_noise(problem.d, sim, noise_stream, n_mc).T for _ in range(burn))
@@ -327,12 +331,8 @@ def stationary_sample(
     which refuses a singular Gram matrix and only warns when the burn-in is
     short, since the draws are still usable as rough approximations.
     """
-    n_samples = integer("n_samples", n_samples)
-    thinning = integer("thinning", thinning)
-    if n_samples < 0:
-        raise ParameterError(f"n_samples must be nonnegative, got {n_samples}")
-    if thinning < 1:
-        raise ParameterError(f"thinning must be >= 1, got {thinning}")
+    n_samples = integer("n_samples", n_samples, least=0)
+    thinning = integer("thinning", thinning, least=1)
     if n_samples == 0:
         return np.empty((0, problem.d))
 

@@ -20,15 +20,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import StabilityRegime, classify_regime
-from .errors import (
-    AccuracyError,
-    DegenerateDataError,
-    ParameterError,
-    ShapeError,
-    UnstableRegimeError,
-)
+from .errors import AccuracyError, ShapeError, UnstableRegimeError, tail_index, vector
 from .sampling import sas_abs_moment
-from .simulate import QuadraticProblem
+from .simulate import QuadraticProblem, require_mixing
 
 # Quadrature settings: the node count doubles from _INITIAL_NODES until two
 # successive estimates agree to _REL_TOL (or _ABS_TOL), or fails past
@@ -47,8 +41,9 @@ class StationaryCharFn:
 
     A is the drift matrix or a QuadraticProblem; a problem's eigendecomposition
     is reused, a matrix is symmetrized and decomposed once here. A must be
-    strictly positive definite (the stationary law does not exist otherwise).
-    Immutable afterwards, so concurrent evaluation is safe.
+    strictly positive definite: the stationary law does not exist otherwise,
+    and require_mixing raises DegenerateDataError. Immutable afterwards, so
+    concurrent evaluation is safe.
     """
 
     def __init__(self, A, alpha: float):
@@ -63,12 +58,8 @@ class StationaryCharFn:
             # Symmetrize to absorb roundoff before the eigendecomposition.
             A = (A + A.T) / 2.0
             lam, q = np.linalg.eigh(A)
-        if not (0.0 < alpha <= 2.0):
-            raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-        if lam[0] <= 0.0:
-            raise ParameterError(
-                f"A must be strictly positive definite; smallest eigenvalue is {lam[0]:.4g}"
-            )
+        tail_index(alpha)
+        require_mixing(lam[0])
         self.alpha = float(alpha)
         self.eigenvalues = lam
         self._q = q
@@ -80,9 +71,7 @@ class StationaryCharFn:
 
     def exponent(self, u) -> float:
         """The integral in the exponent of psi(u), to ~1e-9 relative accuracy."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape != (self.d,):
-            raise ShapeError(f"u has shape {u.shape}, expected ({self.d},)")
+        u = vector(u, self.d)
         unorm = float(np.linalg.norm(u))
         if unorm == 0.0:
             return 0.0
@@ -124,11 +113,11 @@ class NeighborPair:
 
     problem and problem_hat are the two datasets' QuadraticProblems, built
     once, and sigma_min is the smaller of their Gram matrices' smallest
-    eigenvalues. The bounds see the differing row i only through
-    x_i x_i^T - xt_i xt_i^T = (u v^T + v u^T) / 2, with u = x_i - xt_i and
-    v = x_i + xt_i. Its eigenvalues are (u.v +- ||u|| ||v||) / 2, so the sum
-    of their absolute values is perturbation = ||u|| ||v|| exactly, which is
-    |x_i^2 - xt_i^2| in one dimension, computed without squaring either row.
+    eigenvalues (nan if either is). The bounds see the differing row i only
+    through x_i x_i^T - xt_i xt_i^T = (u v^T + v u^T) / 2, with u = x_i - xt_i
+    and v = x_i + xt_i. Its eigenvalues are (u.v +- ||u|| ||v||) / 2, so the
+    sum of their absolute values is perturbation = ||u|| ||v|| exactly, which
+    is |x_i^2 - xt_i^2| in one dimension, computed without squaring either row.
     """
 
     def __init__(self, X, X_hat):
@@ -150,7 +139,7 @@ class NeighborPair:
         i = int(differing[0]) if differing.size == 1 else 0
         x, xt = X[i], X_hat[i]
         self.perturbation = float(np.linalg.norm(x - xt) * np.linalg.norm(x + xt))
-        self.sigma_min = min(self.problem.lambda_min, self.problem_hat.lambda_min)
+        self.sigma_min = float(np.minimum(self.problem.lambda_min, self.problem_hat.lambda_min))
 
 
 def char_fn_diff_bound_1d(pair: NeighborPair, alpha: float, u: float) -> float:
@@ -163,12 +152,10 @@ def char_fn_diff_bound_1d(pair: NeighborPair, alpha: float, u: float) -> float:
     """
     if pair.d != 1:
         raise ShapeError(f"1-d bound called on a dimension-{pair.d} pair")
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+    tail_index(alpha)
+    require_mixing(pair.sigma_min)  # at d = 1, zero exactly when a dataset has zero norm
     norm_sq = float(np.sum(pair.X**2))
     norm_hat_sq = float(np.sum(pair.X_hat**2))
-    if norm_sq == 0.0 or norm_hat_sq == 0.0:
-        raise DegenerateDataError("a dataset with zero norm has no stationary law")
     ua = abs(float(u)) ** alpha
     prefactor = ua * pair.n * pair.perturbation / (alpha * norm_sq * norm_hat_sq)
     return prefactor * math.exp(-ua * pair.n / (alpha * max(norm_sq, norm_hat_sq)))
@@ -180,16 +167,9 @@ def char_fn_diff_bound_dd(pair: NeighborPair, alpha: float, u) -> float:
     The rank-2 perturbation term is the sum of its eigenvalues' absolute
     values, pair.perturbation. The driving noise is isotropic with unit scale.
     """
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    if pair.sigma_min <= 0.0:
-        raise DegenerateDataError(
-            f"smallest Gram eigenvalue is {pair.sigma_min:.4g}; the bound needs it positive"
-        )
-    uvec = np.atleast_1d(np.asarray(u, dtype=float))
-    if uvec.shape != (pair.d,):
-        raise ShapeError(f"u has shape {uvec.shape}, expected ({pair.d},)")
-    ua = float(np.linalg.norm(uvec)) ** alpha
+    tail_index(alpha)
+    require_mixing(pair.sigma_min)
+    ua = float(np.linalg.norm(vector(u, pair.d))) ** alpha
     prefactor = 2.0 * pair.perturbation * ua / (pair.n * alpha * pair.sigma_min)
     return prefactor * math.exp(-ua / (alpha * pair.sigma_min))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, ShapeError, integer
+from .errors import DegenerateDataError, ParameterError, ShapeError, integer, sample_rows
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,6 @@ class TailEstimate:
             raise ParameterError(f"alpha_hat must be finite and positive, got {self.alpha_hat}")
 
 
-def _as_sample_matrix(vectors) -> np.ndarray:
-    arr = np.asarray(vectors, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a sequence of equal-length vectors, got ndim={arr.ndim}")
-    return arr
-
-
 def estimate_tail_index(vectors, K1: int, K2: int) -> TailEstimate:
     """Block-sum log-norm estimator of the tail index.
 
@@ -47,12 +38,8 @@ def estimate_tail_index(vectors, K1: int, K2: int) -> TailEstimate:
     the block structure makes the result order-sensitive by construction.
     A constant nonzero input returns alpha_hat = 1 exactly.
     """
-    K1, K2 = integer("K1", K1), integer("K2", K2)
-    if K1 < 2:
-        raise ParameterError(f"K1 must be at least 2, got {K1}")
-    if K2 < 1:
-        raise ParameterError(f"K2 must be positive, got {K2}")
-    arr = _as_sample_matrix(vectors)
+    K1, K2 = integer("K1", K1, least=2), integer("K2", K2, least=1)
+    arr = sample_rows(vectors)
     needed = K1 * K2
     if arr.shape[0] < needed:
         raise ShapeError(f"need at least K1*K2 = {needed} vectors, got {arr.shape[0]}")
@@ -88,7 +75,7 @@ def estimate_tail_index(vectors, K1: int, K2: int) -> TailEstimate:
 
 def median_center(samples) -> np.ndarray:
     """Subtract the coordinate-wise median (even counts average the central pair)."""
-    arr = _as_sample_matrix(samples)
+    arr = sample_rows(samples)
     if arr.shape[0] == 0:
         raise ShapeError("cannot center an empty sample set")
     return arr - np.median(arr, axis=0)

@@ -632,6 +632,17 @@ class TestCauchyDoublingCheck:
         with pytest.raises(ParameterError):
             cauchy_doubling_check(np.ones(100), initial_window=0)
 
+    @pytest.mark.parametrize("values, window, index", [
+        (np.ones(2000), 1000, 1500),
+        (np.r_[np.ones(1000), 100.0 * np.ones(1000)], 500, 1999),
+    ], ids=["settled", "drifting"])
+    def test_non_finite_value_is_refused(self, values, window, index):
+        # max(0.0, nan) is 0.0, so without the check a nan window reads as converged.
+        values = values.copy()
+        values[index] = np.nan
+        with pytest.raises(ParameterError, match=f"^values must be finite; entry {index} is nan"):
+            cauchy_doubling_check(values, initial_window=window)
+
 
 def test_gap_estimate_carries_per_probe_arrays():
     est = StabilityGapEstimate(

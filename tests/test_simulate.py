@@ -9,14 +9,21 @@ import scipy.stats
 from stableou import (
     AccuracyError,
     DegenerateDataError,
+    NeighborPair,
     ParameterError,
     QuadraticProblem,
     RngStream,
     ShapeError,
     SimConfig,
+    StationaryCharFn,
     Trajectory,
+    char_fn_diff_bound_1d,
+    char_fn_diff_bound_dd,
+    char_fn_diff_exact,
     default_burn_in,
+    empirical_stability_gap,
     euler_maruyama_run,
+    exact_stability_gap,
     final_iterate,
     sample_skewed_positive_stable,
     stationary_sample,
@@ -345,19 +352,46 @@ SINGULAR = QuadraticProblem(np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
 NOISY = SimConfig(eta=0.1, steps=10000, alpha=2.0, noise_scale=1.0)
 
 
+SINGULAR_PAIR = NeighborPair(SINGULAR.X, [[1.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+WITH_NAN = QuadraticProblem(np.array([[1.0, 0.0], [np.nan, 1.0], [2.0, 0.0]]))
+
+
+# Every consumer of the stationary law refuses a problem that has none, by one rule.
 @pytest.mark.parametrize("draw", [
     lambda: default_burn_in(SINGULAR, NOISY),
     lambda: stationary_sample(SINGULAR, NOISY, RngStream(0), 10),
     lambda: stationary_sample(SINGULAR, replace(NOISY, burn_in=100), RngStream(0), 10),
-], ids=["default_burn_in", "stationary_sample", "stationary_sample-burn_in"])
+    lambda: StationaryCharFn(SINGULAR.A, 1.5),
+    lambda: StationaryCharFn(SINGULAR, 1.5),
+    lambda: exact_stability_gap(SINGULAR_PAIR, [[1.0, 1.0]], 1.0, 1.5),
+    lambda: char_fn_diff_exact(SINGULAR_PAIR, 1.5, [1.0, 1.0]),
+    lambda: char_fn_diff_bound_1d(NeighborPair(np.zeros(3), [1.0, 0.0, 0.0]), 1.5, 1.0),
+    lambda: char_fn_diff_bound_dd(SINGULAR_PAIR, 1.5, [1.0, 1.0]),
+    lambda: empirical_stability_gap(SINGULAR_PAIR, [[1.0, 1.0]], 1.0, 2.0, NOISY, 200,
+                                    RngStream(0)),
+], ids=["default_burn_in", "stationary_sample", "stationary_sample-burn_in",
+        "StationaryCharFn-matrix", "StationaryCharFn-problem", "exact_stability_gap",
+        "char_fn_diff_exact", "char_fn_diff_bound_1d-zero_data", "char_fn_diff_bound_dd",
+        "empirical_stability_gap"])
 def test_a_singular_gram_matrix_does_not_mix(draw):
     with pytest.raises(DegenerateDataError, match="eigenvalue is 0; the chain does not mix"):
         draw()
 
 
+@pytest.mark.parametrize("draw", [
+    lambda: default_burn_in(WITH_NAN, NOISY),
+    lambda: StationaryCharFn(WITH_NAN, 1.5),
+    lambda: empirical_stability_gap(NeighborPair([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]], WITH_NAN.X),
+                                    [[1.0, 1.0]], 1.0, 2.0, NOISY, 200, RngStream(0)),
+], ids=["default_burn_in", "StationaryCharFn", "empirical_stability_gap-nan_in_X_hat"])
+def test_a_gram_matrix_with_nan_does_not_mix(draw):
+    with pytest.raises(DegenerateDataError, match="eigenvalue is nan; the chain does not mix"):
+        draw()
+
+
 class TestStationarySample:
     @pytest.mark.parametrize("kwargs, message", [
-        (dict(n_samples=-1), "n_samples must be nonnegative"),
+        (dict(n_samples=-1), "n_samples must be >= 0"),
         (dict(n_samples=10, thinning=0), "thinning must be >= 1"),
     ], ids=["n_samples", "thinning"])
     def test_bad_counts_rejected(self, kwargs, message):

@@ -53,9 +53,9 @@ class TestConstruction:
         np.testing.assert_array_equal(sc.eigenvalues, [2.0])
 
     def test_rejects_non_positive_definite(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(DegenerateDataError, match="eigenvalue is 0; the chain does not mix"):
             StationaryCharFn(np.diag([1.0, 0.0]), 1.5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(DegenerateDataError, match="eigenvalue is -0.5; the chain does not mix"):
             StationaryCharFn(np.diag([1.0, -0.5]), 1.5)
 
     def test_rejects_bad_alpha_and_shapes(self):
@@ -387,7 +387,7 @@ class TestDiffExact:
         X[:, 1] = 0.0
         X_hat = X.copy()
         X_hat[0, [0, 2]] = gen.standard_normal(2)
-        with pytest.raises(ParameterError):
+        with pytest.raises(DegenerateDataError, match="the chain does not mix"):
             char_fn_diff_exact(NeighborPair(X, X_hat), 1.5, np.ones(3))
 
 
