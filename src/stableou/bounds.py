@@ -110,6 +110,8 @@ def alpha_factor(alpha: float, p: float, sigma_sq: float) -> float:
     upper_bound_1d and upper_bound_dd both multiply this one factor, so it
     carries all of their dependence on alpha.
     """
+    tail_index(alpha)
+    positive("sigma_sq", sigma_sq)
     if not p < alpha:
         raise ParameterError(f"need p < alpha, got p={p}, alpha={alpha}")
     return (

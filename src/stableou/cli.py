@@ -39,8 +39,8 @@ from .bounds import (
     upper_bound_dd,
     variance_threshold,
 )
-from .errors import (AccuracyError, ParameterError, ShapeError, StableOUError, positive,
-                     reject_unread)
+from .errors import (AccuracyError, ParameterError, ShapeError, StableOUError, integer,
+                     positive, reject_unread)
 from .experiments import (
     SweepConfig,
     _write_csv,
@@ -62,7 +62,6 @@ from .sampling import (
 from .simulate import (
     QuadraticProblem,
     SimConfig,
-    default_burn_in,
     euler_maruyama_run,
     stationary_sample,
 )
@@ -80,8 +79,7 @@ def _dataclass_defaults(cls) -> dict:
 _DEFAULTS = {
     "sample": {"kind": "sas", "alpha": float, "sigma": 1.0, "d": 1, "count": 1000, "seed": 0},
     "simulate": {"alpha": float, "eta": 0.1, "steps": 3000, "noise_scale": 0.1, "seed": 0,
-                 "n": int | None, "d": 1, "a": 1.0, "data_csv": str | None,
-                 "allow_unstable": False},
+                 "n": int | None, "d": 1, "a": 1.0, "data_csv": str | None},
     "bounds": {**_dataclass_defaults(BoundInputs), "R": 1.0, "n": 1000, "dimension": "1d"},
     "threshold": {"alpha0": float | None, "p": float, "sigma_level": float | None},
     "sweep": {**_dataclass_defaults(SweepConfig), "svg": True},
@@ -237,7 +235,7 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
         data = generate_population(cfg["a"], cfg["d"], cfg["n"], stream.fork(0))
     problem = QuadraticProblem(data)
     sim = SimConfig(eta=cfg["eta"], steps=cfg["steps"], alpha=cfg["alpha"],
-                    noise_scale=cfg["noise_scale"], allow_unstable=cfg["allow_unstable"])
+                    noise_scale=cfg["noise_scale"])
     traj = euler_maruyama_run(problem, sim, stream=stream.fork(1))
     header = ["step"] + [f"theta_{j + 1}" for j in range(problem.d)]
     rows = ([k, *theta] for k, theta in enumerate(traj.iterates))
@@ -342,16 +340,14 @@ def _cmd_estimate_tail(cfg: dict, out_dir: Path) -> int:
 def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
     """Check simulated or quadrature char. fn against closed form."""
     alpha, d, u_max = cfg["alpha"], cfg["d"], cfg["u_max"]
-    if d < 1:
-        raise ParameterError(f"d must be at least 1, got {d}")
+    integer("d", d, least=1)
     if d > 1:
         reject_unread(f"verify-charfn at d={d}", ("u_max",), cfg, _DEFAULTS["verify-charfn"])
     else:
         # At u_max = 0 every grid point is u = 0, where both char. fns are 1: no check at all.
         positive("u_max", u_max)
     n_points = cfg.setdefault("n_points", 25 if d == 1 else 100)
-    if n_points < 1:
-        raise ParameterError(f"n_points must be at least 1, got {n_points}")
+    integer("n_points", n_points, least=1)
     tolerance = cfg.setdefault("tolerance", 0.05 if d == 1 else 1e-6)
     stream = RngStream(cfg["seed"])
     rows = []
@@ -359,13 +355,12 @@ def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
     if d == 1:
         # Drift 1 loses nothing: at drift s and step 0.1/s the chain is s^(-1/alpha)
         # times this one, path by path, which only rescales u. eta = 0.1
-        # decorrelates the thinned draws (lag factor 0.9^9 at thinning 9).
+        # decorrelates the thinned draws (lag factor 0.9^9 at thinning 9), which
+        # fit in the 100000 steps after the burn-in of 100.
         eta = 0.1
-        steps, n_samples = 100000, 10000
         problem = QuadraticProblem(np.ones(100))
-        sim = SimConfig(eta=eta, steps=steps, alpha=alpha, noise_scale=1.0)
-        thinning = max(1, (steps - default_burn_in(problem, sim)) // n_samples)
-        samples = stationary_sample(problem, sim, stream, n_samples, thinning=thinning)
+        sim = SimConfig(eta=eta, steps=100000, alpha=alpha, noise_scale=1.0)
+        samples = stationary_sample(problem, sim, stream, 10000, thinning=9)
         # The chain's exact stationary law: scale^alpha = eta / (1 - |1 - eta|^alpha).
         scale_alpha = eta / (1.0 - abs(1.0 - eta) ** alpha)
         for u in np.linspace(-u_max, u_max, n_points):

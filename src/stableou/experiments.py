@@ -72,10 +72,10 @@ class SweepConfig:
             object.__setattr__(self, name, integer(name, getattr(self, name), least))
         object.__setattr__(self, "population_size",
                            integer("population_size", self.population_size, least=self.n))
-        if any(a <= 0 for a in self.a_grid):
-            raise ParameterError("a_grid entries must be positive")
-        if any(d < 1 for d in self.d_grid):
-            raise ParameterError("d_grid entries must be positive")
+        for a in self.a_grid:
+            positive("a_grid entry", a)
+        for d in self.d_grid:
+            integer("d_grid entry", d, least=1)
         loss_power(self.p)
         for alpha in self.alpha_grid:  # SimConfig checks each chain as _grid_point_records runs it
             SimConfig(eta=self.eta, steps=self.steps, alpha=alpha, noise_scale=self.noise_scale)

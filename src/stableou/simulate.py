@@ -6,8 +6,7 @@ The iteration for a least-squares problem with data X is
 
 with A = (1/n) X^T X and E_k i.i.d. rotationally symmetric alpha-stable
 with unit scale. The problem has no label term, so the chain is centred at
-zero; with noise_scale = 0 it is plain gradient descent on the quadratic
-risk.
+zero, and every chain starts there: theta_0 = 0.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ class SimConfig:
     alpha: float
     burn_in: Optional[int] = None
     noise_scale: float = 1.0
-    allow_unstable: bool = False
 
     def __post_init__(self):
         positive("eta", self.eta)
@@ -83,7 +81,7 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """A simulated path: iterates[k] is theta_k, row 0 the initial point.
+    """A simulated path: iterates[k] is theta_k, row 0 the start theta_0 = 0.
 
     Every step runs; a diverged path is cut before its first iterate that is
     non-finite or has a coordinate above OVERFLOW_LIMIT in magnitude.
@@ -133,21 +131,10 @@ def default_burn_in(problem: QuadraticProblem, config: SimConfig) -> int:
 
 
 def check_step_size(problem: QuadraticProblem, config: SimConfig) -> None:
-    """Reject eta * lambda_max >= 2, where the noiseless recursion diverges.
-
-    With config.allow_unstable the run goes ahead after a warning.
-    """
+    """Reject eta * lambda_max >= 2, where the noiseless recursion diverges."""
     contraction = config.eta * problem.lambda_max
     if contraction >= 2.0:
-        if not config.allow_unstable:
-            raise ParameterError(
-                f"eta * lambda_max = {contraction:.4g} >= 2 diverges without noise; "
-                "set allow_unstable=True to force the run"
-            )
-        warnings.warn(
-            f"eta * lambda_max = {contraction:.4g} >= 2: the noiseless recursion diverges",
-            stacklevel=3,
-        )
+        raise ParameterError(f"eta * lambda_max = {contraction:.4g} >= 2 diverges without noise")
 
 
 def _recursion(theta, A, eta, shocks):
@@ -170,18 +157,18 @@ def _in_range(x: np.ndarray) -> bool:
     return bool(x.max() <= OVERFLOW_LIMIT and x.min() >= -OVERFLOW_LIMIT)
 
 
-def _stepped_path(theta0, A, eta, shocks) -> tuple[np.ndarray, bool]:
-    """The iterates theta_0 .. theta_T of the recursion from theta0, and whether it diverged.
+def _stepped_path(A, eta, shocks) -> tuple[np.ndarray, bool]:
+    """The iterates theta_0 = 0 .. theta_T of the recursion, and whether it diverged.
 
     Every step runs and is stored; one scan of rows 1..T then cuts the path
     before its first iterate that is non-finite or has a coordinate above
     OVERFLOW_LIMIT in magnitude, even if later iterates come back below it.
     """
-    path = np.empty((shocks.shape[0] + 1, theta0.shape[0]))
-    path[0] = theta0
+    path = np.empty((shocks.shape[0] + 1, shocks.shape[1]))
+    path[0] = 0.0
     rows = path[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, theta in enumerate(_recursion(theta0, A, eta, shocks), 1):
+        for k, theta in enumerate(_recursion(path[0], A, eta, shocks), 1):
             path[k] = theta
         if _in_range(rows):
             return path, False
@@ -218,12 +205,10 @@ def coupled_stationary_draws(
     return state[0].T, state[1].T
 
 
-def _driving_noise(d: int, config: SimConfig, stream: RngStream | None, size: int) -> np.ndarray:
+def _driving_noise(d: int, config: SimConfig, stream: RngStream, size: int) -> np.ndarray:
     """The (size, d) shocks eta^(1/alpha) * noise_scale * E_k from ``stream``, inf on overflow."""
     if config.noise_scale == 0.0:
         return np.zeros((size, d))
-    if stream is None:
-        raise ParameterError("a stream is required when noise_scale > 0")
     e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=size)
     # The array comes first so that numpy writes the product into its temporary.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,33 +216,23 @@ def _driving_noise(d: int, config: SimConfig, stream: RngStream | None, size: in
 
 
 def euler_maruyama_run(
-    problem: QuadraticProblem,
-    config: SimConfig,
-    theta0=None,
-    stream: RngStream | None = None,
+    problem: QuadraticProblem, config: SimConfig, *, stream: RngStream
 ) -> Trajectory:
-    """Run the discretized OU recursion for config.steps steps.
+    """Run the discretized OU recursion from theta_0 = 0 for config.steps steps.
 
     Every step runs; one scan afterwards cuts the trajectory before the first
     iterate with a coordinate above 1e300 in magnitude (or non-finite) and
     sets the ``diverged`` flag instead of raising: huge excursions are an
     expected outcome at small alpha.
     """
-    d = problem.d
-    if theta0 is None:
-        theta0 = np.zeros(d)
-    theta0 = np.asarray(theta0, dtype=float).reshape(-1)
-    if theta0.shape[0] != d:
-        raise ShapeError(f"theta0 has length {theta0.shape[0]} but the problem dimension is {d}")
     check_step_size(problem, config)
-
-    noise = _driving_noise(d, config, stream, config.steps)
-    iterates, diverged = _stepped_path(theta0, problem.A, config.eta, noise)
+    noise = _driving_noise(problem.d, config, stream, config.steps)
+    iterates, diverged = _stepped_path(problem.A, config.eta, noise)
     return Trajectory(iterates=iterates, diverged=diverged)
 
 
 def final_iterate(
-    problem: QuadraticProblem, config: SimConfig, stream: RngStream | None = None
+    problem: QuadraticProblem, config: SimConfig, stream: RngStream
 ) -> tuple[np.ndarray, bool]:
     """theta_T from theta_0 = 0, drawn from its exact law, and the loop's divergence flag.
 
@@ -272,16 +247,14 @@ def final_iterate(
     ``euler_maruyama_run``, not its noise. That law is drawn when every
     |m_i| <= 1 and sum_k s_k^2 < OVERFLOW_LIMIT, so that sum bounds every
     iterate's variance. Otherwise the stream is rewound to where h was
-    drawn and the Euler path is stepped from it as in ``euler_maruyama_run``:
-    theta, the flag and the stream's end state are then that function's at
-    the same stream, bit for bit.
+    drawn and ``euler_maruyama_run`` steps the Euler path from it: theta,
+    the flag and the stream's end state are then that function's at the
+    same stream, bit for bit.
     """
     check_step_size(problem, config)
     d, T, alpha = problem.d, config.steps, config.alpha
     if config.noise_scale == 0.0:
         return np.zeros(d), False
-    if stream is None:
-        raise ParameterError("a stream is required when noise_scale > 0")
     gen = stream.generator
     start = gen.bit_generator.state
     h = gen.standard_normal(d)
@@ -295,9 +268,8 @@ def final_iterate(
         v = _variance(m * m, s2)
         return problem.eigenvectors @ (np.sqrt(v) * h), False
     gen.bit_generator.state = start
-    noise = _driving_noise(d, config, stream, T)
-    path, diverged = _stepped_path(np.zeros(d), problem.A, config.eta, noise)
-    return path[-1], diverged
+    traj = euler_maruyama_run(problem, config, stream=stream)
+    return traj.final, traj.diverged
 
 
 def _variance(m2: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -344,7 +316,7 @@ def stationary_sample(
             f"thinning {thinning} after a burn-in of {burn_in} (needs {needed})"
         )
 
-    traj = euler_maruyama_run(problem, config, theta0=None, stream=stream)
+    traj = euler_maruyama_run(problem, config, stream=stream)
     if traj.diverged and len(traj) <= needed:
         raise AccuracyError(
             f"trajectory overflowed after {len(traj) - 1} steps; stationary samples unavailable"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, ShapeError, integer, sample_rows
+from .errors import DegenerateDataError, ShapeError, integer, positive, sample_rows
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class TailEstimate:
     sample_count_used: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha_hat) and self.alpha_hat > 0):
-            raise ParameterError(f"alpha_hat must be finite and positive, got {self.alpha_hat}")
+        positive("alpha_hat", self.alpha_hat)
 
 
 def estimate_tail_index(vectors, K1: int, K2: int) -> TailEstimate:

@@ -204,16 +204,14 @@ class TestSimulate:
 
     def test_diverged_run_prints_a_finite_norm(self, tmp_path, capsys):
         # The last kept iterate has coordinates near 1e300, whose squares overflow.
-        cfg = write_config(tmp_path, "c.json", {
-            "alpha": 1.5, "eta": 8.0, "steps": 3000, "n": 30, "d": 2, "a": 2.0,
-            "noise_scale": 0.1, "seed": 3, "allow_unstable": True,
-        })
-        with pytest.warns(UserWarning, match="noiseless recursion diverges"):
-            code = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert stdout.startswith("diverged: 1430 steps, final iterate norm ")
-        assert 1e299 < float(stdout.split()[-1]) < math.inf
+        for seed in range(4):
+            code = run_cli(["simulate", "--alpha", "1", "--eta", "0.25", "--noise-scale", "1e298",
+                            "--n", "40", "--d", "4", "--seed", str(seed),
+                            "--out", str(tmp_path / "out")])
+            assert code == 0
+            stdout = capsys.readouterr().out
+            assert stdout.startswith("diverged: ")
+            assert 1e299 < float(stdout.split()[-1]) < math.inf
 
     def test_shock_scale_beyond_float_range_is_divergence(self, tmp_path, capsys):
         # eta^(1/alpha) = 3^1000 raised OverflowError as a Python float.
@@ -223,12 +221,16 @@ class TestSimulate:
         assert capsys.readouterr().out.startswith("diverged: 0 steps, ")
 
     def test_unstable_step_fails(self, tmp_path, capsys):
-        code = run_cli([
-            "simulate", "--alpha", "2.0", "--eta", "50.0", "--steps", "50",
-            "--n", "30", "--d", "2", "--out", str(tmp_path / "out"),
-        ])
-        assert code == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        argv = ["simulate", "--alpha", "2.0", "--eta", "50.0", "--steps", "50",
+                "--n", "30", "--d", "2", "--out", str(tmp_path / "out")]
+        err = run_failing(argv, capsys)
+        assert err["error"] == "ParameterError"
+        assert err["message"].endswith(">= 2 diverges without noise")
+        # There is no override.
+        cfg = write_config(tmp_path, "c.json", {"allow_unstable": True})
+        err = run_failing([*argv, "--config", str(cfg)], capsys)
+        assert err["message"] == "unknown config keys for 'simulate': allow_unstable"
+        assert not (tmp_path / "out").exists()
 
     def test_burn_in_key_is_rejected(self, tmp_path, capsys):
         # The trajectory records every step from 0, so a burn-in key would change nothing.
@@ -615,7 +617,7 @@ class TestVerifyCharfn:
         assert run_cli(["verify-charfn", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
-        assert err["message"].startswith(f"{key} must be at least 1")
+        assert err["message"].startswith(f"{key} must be >= 1")
 
     @pytest.mark.parametrize("payload, flags", [
         ({"u_max": 0}, []),
@@ -651,8 +653,7 @@ class TestVerifyCharfn:
 # The config keys each subcommand accepts, pinned so that its table cannot drift.
 ACCEPTED_KEYS = {
     "sample": {"kind", "alpha", "sigma", "d", "count", "seed"},
-    "simulate": {"alpha", "eta", "steps", "noise_scale", "seed", "n", "d", "a", "data_csv",
-                 "allow_unstable"},
+    "simulate": {"alpha", "eta", "steps", "noise_scale", "seed", "n", "d", "a", "data_csv"},
     "bounds": {"R", "n", "p", "alpha", "sigma2", "sigma", "sigma_min", "delta1", "delta2",
                "dimension"},
     "threshold": {"alpha0", "p", "sigma_level"},
@@ -926,14 +927,11 @@ class TestValueTypes:
     @pytest.mark.parametrize("argv, payload, key", [
         (["sample", "--kind", "isotropic", "--alpha", "1.5"], {"d": 2.7}, "d"),
         (["bounds", "--p", "1", "--alpha", "1.5"], {"n": 1000.9}, "n"),
-        (["simulate", "--alpha", "1.5", "--n", "30", "--eta", "8"],
-         {"allow_unstable": "false"}, "allow_unstable"),
         (["sweep"], {**SWEEP_CFG, "svg": "false"}, "svg"),
         (["simulate", "--alpha", "1.5", "--n", "30"], {"steps": "5"}, "steps"),
         (["verify-charfn", "--alpha", "1.5", "--d", "2", "--tolerance", "inf"], {}, "tolerance"),
         (["simulate", "--alpha", "1.5", "--n", "30", "--noise-scale", "inf"], {}, "noise_scale"),
-    ], ids=["d-2.7-drew-2-columns", "bounds-n-1000.9-ran-1000",
-            "allow-unstable-string-was-truthy", "svg-string-still-drew",
+    ], ids=["d-2.7-drew-2-columns", "bounds-n-1000.9-ran-1000", "svg-string-still-drew",
             "steps-string-recorded-as-a-string", "tolerance-inf-passed-a-check-that-cannot-fail",
             "noise-scale-inf-completed"])
     def test_value_that_was_silently_converted_is_rejected(self, argv, payload, key, tmp_path,

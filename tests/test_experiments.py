@@ -605,15 +605,10 @@ class TestEmpiricalStabilityGap:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
 
     def test_overflowing_chains_raise(self):
-        # eta * lambda_max is about 2.5, so each step multiplies the state by
-        # about -1.5 and the chains overflow long before the burn-in ends.
+        # Shocks scaled by 1e299 push the chains past 1e300 at the first step.
         pair = make_1d_pair()
-        sim = SimConfig(
-            eta=2.5, steps=3000, alpha=1.5, noise_scale=1.0, burn_in=2000, allow_unstable=True
-        )
-        with pytest.warns(UserWarning, match="diverges"), pytest.raises(
-            AccuracyError, match="at step 1334 of a 2000-step burn-in"
-        ):
+        sim = SimConfig(eta=0.1, steps=3000, alpha=1.5, noise_scale=1e299, burn_in=2000)
+        with pytest.raises(AccuracyError, match="at step 1 of a 2000-step burn-in"):
             empirical_stability_gap(pair, PROBES_1D, 1.0, 1.5, sim, 200, RngStream(0))
 
 

@@ -18,6 +18,7 @@ from stableou import (
     StableParams,
     StationaryCharFn,
     SweepConfig,
+    alpha_factor,
     cauchy_doubling_check,
     char_fn_diff_bound_1d,
     char_fn_diff_bound_dd,
@@ -183,6 +184,7 @@ ALPHA_SITES = {
     "char_fn_diff_bound_dd": lambda alpha: char_fn_diff_bound_dd(PAIR, alpha, [1.0]),
     "BoundInputs": lambda alpha: BoundInputs(R=1.0, n=10, p=1.0, alpha=alpha),
     "classify_regime": lambda alpha: classify_regime(1.0, alpha),
+    "alpha_factor": lambda alpha: alpha_factor(alpha, 1.0, 1.0),
 }
 P_SITES = {
     "SweepConfig": lambda p: SweepConfig(**SWEEP, p=p),
@@ -202,6 +204,9 @@ OUT_OF_DOMAIN = {
     "StableParams-sigma=inf": (lambda: StableParams(1.5, math.inf), "sigma"),
     "generate_population-a=inf": (
         lambda: generate_population(math.inf, 2, 3, RngStream(0)), "a"),
+    # alpha_factor returned a complex number at sigma_sq = -1 and 0.0 at inf.
+    **{f"alpha_factor-sigma_sq={s}": (partial(alpha_factor, 1.5, 1.0, s), "sigma_sq")
+       for s in (-1.0, math.inf)},
 }
 
 
