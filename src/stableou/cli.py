@@ -65,7 +65,6 @@ from .simulate import (
     euler_maruyama_run,
     stationary_sample,
 )
-from .stationary import StationaryCharFn
 from .tail import estimate_tail_index, median_center
 
 def _dataclass_defaults(cls) -> dict:
@@ -74,8 +73,7 @@ def _dataclass_defaults(cls) -> dict:
             for f in dataclasses.fields(cls)}
 
 
-# n of simulate is required unless data_csv is given; n_points and tolerance
-# of verify-charfn default by mode in _cmd_verify_charfn.
+# n of simulate is required unless data_csv is given.
 _DEFAULTS = {
     "sample": {"kind": "sas", "alpha": float, "sigma": 1.0, "d": 1, "count": 1000, "seed": 0},
     "simulate": {"alpha": float, "eta": 0.1, "steps": 3000, "noise_scale": 0.1, "seed": 0,
@@ -84,8 +82,8 @@ _DEFAULTS = {
     "threshold": {"alpha0": float | None, "p": float, "sigma_level": float | None},
     "sweep": {**_dataclass_defaults(SweepConfig), "svg": True},
     "estimate-tail": {"input_csv": str, "K1": int, "K2": int, "median_center": False},
-    "verify-charfn": {"alpha": float, "d": 1, "n_points": int | None, "u_max": 3.0,
-                      "tolerance": float | None, "seed": 0},
+    "verify-charfn": {"alpha": float, "d": 1, "n_points": 25, "u_max": 3.0, "tolerance": 0.05,
+                      "seed": 0},
 }
 
 
@@ -338,60 +336,43 @@ def _cmd_estimate_tail(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_verify_charfn(cfg: dict, out_dir: Path) -> int:
-    """Check simulated or quadrature char. fn against closed form."""
-    alpha, d, u_max = cfg["alpha"], cfg["d"], cfg["u_max"]
+    """Check the simulated chain's char. fn against its exact law."""
+    alpha, d, u_max, tolerance = cfg["alpha"], cfg["d"], cfg["u_max"], cfg["tolerance"]
     integer("d", d, least=1)
-    if d > 1:
-        reject_unread(f"verify-charfn at d={d}", ("u_max",), cfg, _DEFAULTS["verify-charfn"])
-    else:
-        # At u_max = 0 every grid point is u = 0, where both char. fns are 1: no check at all.
-        positive("u_max", u_max)
-    n_points = cfg.setdefault("n_points", 25 if d == 1 else 100)
-    integer("n_points", n_points, least=1)
-    tolerance = cfg.setdefault("tolerance", 0.05 if d == 1 else 1e-6)
+    n_points = integer("n_points", cfg["n_points"], least=1)
+    # At u_max = 0 every grid point is u = 0, where both char. fns are 1: no check at all.
+    positive("u_max", u_max)
     stream = RngStream(cfg["seed"])
+    # The Gram matrix is lambda I with lambda = 1 up to rounding. Drift 1 loses
+    # nothing: at drift s and step 0.1/s the chain is s^(-1/alpha) times this
+    # one, path by path, which only rescales u. eta = 0.1 decorrelates the
+    # thinned draws (lag factor 0.9^9 at thinning 9), which fit in the 100000
+    # steps after the burn-in of 100.
+    eta = 0.1
+    problem = QuadraticProblem(math.sqrt(d) * np.eye(d))
+    sim = SimConfig(eta=eta, steps=100000, alpha=alpha, noise_scale=1.0)
+    samples = stationary_sample(problem, sim, stream, 10000, thinning=9)
+    # A rotationally invariant SaS vector projects on a unit vector as SaS of
+    # the same scale, so one direction checks the joint law at every d.
+    projected = samples @ np.full(d, 1.0 / math.sqrt(d))
+    # The chain's exact stationary law: scale^alpha = eta / (1 - |1 - eta lambda|^alpha).
+    scale_alpha = eta / (1.0 - abs(1.0 - eta * problem.lambda_max) ** alpha)
     rows = []
-    gaps = []
-    if d == 1:
-        # Drift 1 loses nothing: at drift s and step 0.1/s the chain is s^(-1/alpha)
-        # times this one, path by path, which only rescales u. eta = 0.1
-        # decorrelates the thinned draws (lag factor 0.9^9 at thinning 9), which
-        # fit in the 100000 steps after the burn-in of 100.
-        eta = 0.1
-        problem = QuadraticProblem(np.ones(100))
-        sim = SimConfig(eta=eta, steps=100000, alpha=alpha, noise_scale=1.0)
-        samples = stationary_sample(problem, sim, stream, 10000, thinning=9)
-        # The chain's exact stationary law: scale^alpha = eta / (1 - |1 - eta|^alpha).
-        scale_alpha = eta / (1.0 - abs(1.0 - eta) ** alpha)
-        for u in np.linspace(-u_max, u_max, n_points):
-            analytic = math.exp(-abs(u) ** alpha * scale_alpha)
-            empirical = empirical_char_fn(samples[:, 0], u)
-            gap = abs(empirical - analytic)
-            gaps.append(gap)
-            rows.append([u, analytic, empirical.real, gap])
-        mode = "simulation vs exact discrete-time law (max absolute gap)"
-        header = ["u", "analytic", "empirical", "absdiff"]
-    else:
-        sc = StationaryCharFn(np.eye(d), alpha)
-        for _ in range(n_points):
-            u = stream.generator.standard_normal(d)
-            analytic = math.exp(-float(np.linalg.norm(u)) ** alpha / alpha)
-            value = sc.evaluate(u)
-            gaps.append(abs(value - analytic) / analytic)
-            rows.append(list(u) + [analytic, value, abs(value - analytic)])
-        mode = "quadrature vs closed form (max relative gap)"
-        header = [f"u_{j + 1}" for j in range(d)] + ["analytic", "empirical", "absdiff"]
-    max_gap = float(max(gaps))
+    for u in np.linspace(-u_max, u_max, n_points):
+        analytic = math.exp(-abs(u) ** alpha * scale_alpha)
+        empirical = empirical_char_fn(projected, u)
+        rows.append([u, analytic, empirical.real, abs(empirical - analytic)])
+    max_gap = float(max(row[3] for row in rows))
     passed = max_gap <= tolerance
     report = {
         "alpha": alpha,
         "d": d,
-        "mode": mode,
+        "mode": "simulation vs exact discrete-time law (max absolute gap)",
         "max_gap": max_gap,
         "tolerance": tolerance,
         "passed": passed,
     }
-    _write_csv(_output(out_dir, "verify.csv"), header, rows)
+    _write_csv(_output(out_dir, "verify.csv"), ["u", "analytic", "empirical", "absdiff"], rows)
     _finish(out_dir, "verify-charfn", cfg, ["verify.json", "verify.csv"], report)
     if not passed:
         raise AccuracyError(

@@ -75,8 +75,7 @@ class SimConfig:
             object.__setattr__(self, "burn_in", integer("burn_in", self.burn_in))
             if not (0 <= self.burn_in < self.steps):
                 raise ParameterError(f"burn_in must lie in [0, steps), got {self.burn_in}")
-        if not (self.noise_scale >= 0.0):
-            raise ParameterError(f"noise_scale must be nonnegative, got {self.noise_scale}")
+        positive("noise_scale", self.noise_scale)
 
 
 @dataclass
@@ -207,8 +206,6 @@ def coupled_stationary_draws(
 
 def _driving_noise(d: int, config: SimConfig, stream: RngStream, size: int) -> np.ndarray:
     """The (size, d) shocks eta^(1/alpha) * noise_scale * E_k from ``stream``, inf on overflow."""
-    if config.noise_scale == 0.0:
-        return np.zeros((size, d))
     e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=size)
     # The array comes first so that numpy writes the product into its temporary.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -253,8 +250,6 @@ def final_iterate(
     """
     check_step_size(problem, config)
     d, T, alpha = problem.d, config.steps, config.alpha
-    if config.noise_scale == 0.0:
-        return np.zeros(d), False
     gen = stream.generator
     start = gen.bit_generator.state
     h = gen.standard_normal(d)

@@ -23,6 +23,7 @@ from stableou import (
     euler_maruyama_run,
     generate_population,
     read_run_records,
+    sample_sas_scalar,
 )
 from stableou.bounds import BoundInputs
 from stableou.cli import _DEFAULTS, _build_parser, _key_type, _typed, run_cli
@@ -169,7 +170,7 @@ class TestSimulate:
             for row in gen.uniform(-1, 1, (20, 2)):
                 writer.writerow([repr(float(v)) for v in row])
         cfg = write_config(tmp_path, "c.json", {
-            "alpha": 2.0, "eta": 0.05, "steps": 100, "noise_scale": 0.0,
+            "alpha": 2.0, "eta": 0.05, "steps": 100, "noise_scale": 0.1,
             "data_csv": str(data_csv),
         })
         out = tmp_path / "out"
@@ -545,16 +546,33 @@ class TestEstimateTail:
 
 class TestVerifyCharfn:
     def test_quadrature_mode_passes(self, tmp_path):
+        # d = 2 runs the d = 1 simulation check, along the unit diagonal.
         out = tmp_path / "out"
         code = run_cli(["verify-charfn", "--alpha", "1.5", "--d", "2",
                         "--seed", "1", "--out", str(out)])
         assert code == 0
         report = json.loads((out / "verify.json").read_text())
-        assert report["passed"] is True
-        assert report["max_gap"] <= report["tolerance"]
+        assert report["d"] == 2 and report["passed"] is True
+        assert report["max_gap"] <= report["tolerance"] == 0.05
         with open(out / "verify.csv", newline="") as fh:
-            header = next(csv.reader(fh))
-        assert header == ["u_1", "u_2", "analytic", "empirical", "absdiff"]
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["u", "analytic", "empirical", "absdiff"]
+        assert len(rows) == 26
+
+    def test_coordinates_drawn_independently_fail(self, tmp_path, capsys, monkeypatch):
+        # Independent SaS coordinates have SaS marginals but not the isotropic
+        # joint law; their projection on the diagonal has the wrong scale.
+        def independent(d, params, stream, size):
+            return sample_sas_scalar(params, stream, size * d).reshape(size, d)
+
+        monkeypatch.setattr("stableou.simulate.sample_isotropic_stable", independent)
+        out = tmp_path / "out"
+        code = run_cli(["verify-charfn", "--d", "4", "--alpha", "1.5", "--seed", "0",
+                        "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "AccuracyError"
+        report = json.loads((out / "verify.json").read_text())
+        assert report["passed"] is False and report["max_gap"] > 0.1
 
     def test_simulation_mode_passes(self, tmp_path):
         out = tmp_path / "out"
@@ -589,19 +607,6 @@ class TestVerifyCharfn:
         assert err["error"] == "ParameterError"
         assert err["message"] == "unknown config keys for 'verify-charfn': s"
 
-    def test_u_max_in_quadrature_mode_fails_before_drawing(self, tmp_path, capsys, monkeypatch):
-        def no_stream(seed):
-            raise AssertionError("a draw was set up before u_max was checked")
-
-        monkeypatch.setattr("stableou.cli.RngStream", no_stream)
-        out = tmp_path / "o"
-        assert run_cli(["verify-charfn", "--alpha", "1.5", "--d", "2", "--u-max", "-7",
-                        "--out", str(out)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ParameterError"
-        assert err["message"] == "verify-charfn at d=2 does not read u_max; got u_max=-7.0"
-        assert not (out / "verify.json").exists()
-
     @pytest.mark.parametrize("payload, key", [
         ({"d": 0}, "d"),
         ({"d": -1}, "d"),
@@ -623,7 +628,8 @@ class TestVerifyCharfn:
         ({"u_max": 0}, []),
         ({}, ["--u-max", "0"]),
         ({}, ["--u-max", "-3"]),
-    ], ids=["config-zero", "flag-zero", "flag-negative"])
+        ({"d": 2}, ["--u-max", "-7"]),
+    ], ids=["config-zero", "flag-zero", "flag-negative", "d-2-flag-negative"])
     def test_nonpositive_u_max_fails_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                     payload, flags):
         # At u_max = 0 every grid point is u = 0, where both char. fns are 1:

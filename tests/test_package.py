@@ -204,6 +204,10 @@ OUT_OF_DOMAIN = {
     "StableParams-sigma=inf": (lambda: StableParams(1.5, math.inf), "sigma"),
     "generate_population-a=inf": (
         lambda: generate_population(math.inf, 2, 3, RngStream(0)), "a"),
+    # A chain from zero with no noise stays there; at inf it diverged at step 1.
+    **{f"SimConfig-noise_scale={s}": (
+        partial(SimConfig, eta=0.1, steps=10, alpha=1.5, noise_scale=s), "noise_scale")
+       for s in (0, math.inf)},
     # alpha_factor returned a complex number at sigma_sq = -1 and 0.0 at inf.
     **{f"alpha_factor-sigma_sq={s}": (partial(alpha_factor, 1.5, 1.0, s), "sigma_sq")
        for s in (-1.0, math.inf)},

@@ -104,10 +104,9 @@ def test_noise_requires_a_stream():
 
 
 def test_a_positional_third_argument_to_a_run_is_refused():
-    # It was the start theta_0; read as the stream of a noiseless run it
-    # would go unread, and the run would silently start from zero.
+    # It was the start theta_0; the stream is keyword-only, so an old call fails loudly.
     prob = make_problem()
-    cfg = SimConfig(eta=0.05, steps=10, alpha=1.5, noise_scale=0.0)
+    cfg = SimConfig(eta=0.05, steps=10, alpha=1.5, noise_scale=1.0)
     with pytest.raises(TypeError, match="positional"):
         euler_maruyama_run(prob, cfg, np.ones(prob.d))
 
@@ -157,23 +156,16 @@ class TestFinalIterate:
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
     @pytest.mark.parametrize(
         "steps, contraction, noise_scale",
-        [(1, 0.5, 0.1), (37, 0.3, 1.0), (1000, 0.5, 0.1), (1000, 1.6, 0.1), (1000, 1.6, 0.0)],
+        [(1, 0.5, 0.1), (37, 0.3, 1.0), (1000, 0.5, 0.1), (1000, 1.6, 0.1)],
     )
     def test_matches_the_loop(self, d, alpha, steps, contraction, noise_scale):
         prob = make_problem(seed=d, n=200, d=d)
         cfg = SimConfig(
             eta=contraction / prob.lambda_max, steps=steps, alpha=alpha, noise_scale=noise_scale
         )
-        if noise_scale:
-            # The noisy draw is checked against its law stepped one step at a time.
-            expected = replayed_final_iterate(prob, cfg, RngStream(11))
-            theta, diverged = final_iterate(prob, cfg, RngStream(11))
-        else:
-            # A noiseless run from zero stays there.
-            traj = euler_maruyama_run(prob, cfg, stream=RngStream(11))
-            theta, diverged = final_iterate(prob, cfg, RngStream(11))
-            expected = traj.final
-            assert not traj.diverged and not traj.iterates.any()
+        # The draw is checked against its law stepped one step at a time.
+        expected = replayed_final_iterate(prob, cfg, RngStream(11))
+        theta, diverged = final_iterate(prob, cfg, RngStream(11))
         assert not diverged
         assert np.linalg.norm(theta - expected) <= 1e-12 * np.linalg.norm(expected)
 
