@@ -30,7 +30,8 @@ from .stationary import NeighborPair, _gap_probes
 
 AGGREGATE_COLUMNS = ("alpha", "a", "d", "median", "q25", "q75", "n_diverged")
 # Rows and columns of the fixed-shape product that scores every risk (see
-# surrogate_risk): its float64 scratch is 32 x 2048, 512 KB.
+# _chunked_risks): its float64 scratch is 32 x 2048, 512 KB, and the sweep's
+# population chunk is 2048 x d, 16 KB per dimension (1.6 MB at d = 100).
 _RISK_ROWS = 32
 _RISK_COLS = 2048
 
@@ -113,24 +114,53 @@ def _derive_seed(master_seed: int, key: tuple) -> int:
     return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
+def _population_rows(gen: np.random.Generator, a: float, out: np.ndarray, rows=None) -> np.ndarray:
+    """Fill out with points of the population law: coordinates uniform on (-a/2, a/2).
+
+    Without rows, out (n, d) holds the next n rows that gen draws, in order.
+    With rows, sorted distinct indices, out[j] holds row rows[j] of the
+    population that gen would draw next: PCG64 spends one 64-bit output per
+    double, so advancing it d outputs skips a row. The uniforms are scaled as
+    Generator.uniform scales them, low + (high - low) * u, so the bits are
+    those of gen.uniform(-a / 2, a / 2, size=(N, d)) at the same rows.
+    """
+    low, high = -a / 2.0, a / 2.0
+    if rows is None:
+        gen.random(out=out)
+    else:
+        d, start = out.shape[1], 0
+        for row, i in zip(out, rows):
+            gen.bit_generator.advance((i - start) * d)
+            gen.random(out=row)
+            start = i + 1
+    out *= high - low
+    out += low
+    return out
+
+
 def generate_population(a: float, d: int, N: int, stream: RngStream) -> np.ndarray:
     """N i.i.d. points with coordinates uniform on (-a/2, a/2)."""
     positive("a", a)
     d, N = integer("d", d, least=1), integer("N", N, least=1)
-    return stream.generator.uniform(-a / 2.0, a / 2.0, size=(N, d))
+    return _population_rows(stream.generator, a, np.empty((N, d)))
+
+
+def _population_chunks(a: float, d: int, N: int, stream: RngStream):
+    """generate_population(a, d, N, stream) in successive chunks of _RISK_COLS rows.
+
+    Each is a view of one reused buffer, which the next chunk overwrites.
+    """
+    chunk = np.empty((min(N, _RISK_COLS), d))
+    for start in range(0, N, _RISK_COLS):
+        yield _population_rows(stream.generator, a, chunk[: N - start])
 
 
 def surrogate_risk(theta, data, p: float):
     """(1/m) sum |theta^T x_i|^p over the m rows of data, for one theta or a (k, d) stack.
 
-    Every risk is one row of the same fixed-shape (_RISK_ROWS, d) @ (d, w)
-    products, its theta written into a zeroed block, one product per chunk
-    of w = _RISK_COLS data rows (the last chunk holds the rest). Each row
-    adds up its chunks' sums in order and divides by m once, so a theta's
-    risk has the same bits at any row and whatever the other rows hold.
-    The chunk loop runs outside the block loop, so the data is read, and
-    converted to float64, once and one chunk at a time whatever k is. One
-    theta gives a float, a stack an array of k risks.
+    The data is scored in chunks of _RISK_COLS rows (see _chunked_risks), so
+    a theta's risk has the same bits at any row of the stack and whatever
+    the other rows hold. One theta gives a float, a stack an array of k risks.
     """
     loss_power(p)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -140,16 +170,32 @@ def surrogate_risk(theta, data, p: float):
         data = data[:, None]
     if thetas.ndim != 2 or data.ndim != 2 or data.shape[1] != thetas.shape[1]:
         raise ShapeError(f"data of shape {data.shape} does not match theta of shape {theta.shape}")
-    if data.shape[0] == 0:
+    m = data.shape[0]
+    if m == 0:
         raise ShapeError("data must contain at least one row")
-    (k, d), m = thetas.shape, data.shape[0]
+    chunks = (data[col : col + _RISK_COLS] for col in range(0, m, _RISK_COLS))
+    risks = _chunked_risks(thetas, chunks, m, p)
+    return float(risks[0]) if theta.ndim == 1 else risks
+
+
+def _chunked_risks(thetas: np.ndarray, chunks, m: int, p: float) -> np.ndarray:
+    """The risks of a (k, d) stack on m data rows that arrive as an iterable of chunks.
+
+    Every risk is one row of the same fixed-shape (_RISK_ROWS, d) @ (d, w)
+    products, its theta written into a zeroed block, one product per chunk
+    of w = _RISK_COLS data rows (the last chunk holds the rest). Each row
+    adds up its chunks' sums in order and divides by m once. The chunk loop
+    runs outside the block loop, so each chunk is read, and converted to
+    float64, once whatever k is, and chunks may be drawn one at a time.
+    """
+    k, d = thetas.shape
     blocks = np.zeros((-(-k // _RISK_ROWS), _RISK_ROWS, d))
     blocks.reshape(-1, d)[:k] = thetas
     scores = np.empty((_RISK_ROWS, min(m, _RISK_COLS)))
     sums = np.zeros(k)
     with np.errstate(over="ignore", invalid="ignore"):
-        for col in range(0, m, _RISK_COLS):
-            chunk = np.asarray(data[col : col + _RISK_COLS], dtype=float)
+        for chunk in chunks:
+            chunk = np.asarray(chunk, dtype=float)
             out = scores[:, : len(chunk)]
             for start, block in zip(range(0, k, _RISK_ROWS), blocks):
                 np.matmul(block, chunk.T, out=out)
@@ -157,8 +203,7 @@ def surrogate_risk(theta, data, p: float):
                 np.abs(used, out=used)
                 np.power(used, p, out=used)
                 sums[start : start + len(used)] += used.sum(axis=1)
-    risks = sums / m
-    return float(risks[0]) if theta.ndim == 1 else risks
+    return sums / m
 
 
 def generalization_error(theta, train, population, p: float) -> float:
@@ -173,16 +218,19 @@ def _grid_point_records(cfg: SweepConfig, di: int, ai: int, replications) -> lis
     Seed (master_seed, (di, ai, r)) opens replication r's stream, which every
     alpha shares (common random numbers): one training resample and
     QuadraticProblem, and per alpha a fresh fork(1), from which final_iterate
-    draws the same h, uniforms and exponentials. One surrogate_risk call per
-    replication scores the train risks, and one more every iterate on the
-    population (seed (di, ai)), a diverged one as a zero row. The population
-    is this call's alone, so it is freed on return. Records come alpha-major.
+    draws the same h, uniforms and exponentials. The population (seed
+    (di, ai)) is never formed: a replication draws its resampled rows from
+    the population's stream, advancing past the rest, and the population
+    risks are scored on chunks drawn from a fresh stream one after another,
+    with the bits of generate_population(...)[idx] and of the whole array.
+    One surrogate_risk call per replication scores the train risks, and one
+    chunked pass every iterate on the population, a diverged one as a zero
+    row. Records come alpha-major.
     """
-    d, a = cfg.d_grid[di], cfg.a_grid[ai]
+    d, a, N = cfg.d_grid[di], cfg.a_grid[ai], cfg.population_size
     sims = [SimConfig(eta=cfg.eta, steps=cfg.steps, alpha=alpha, noise_scale=cfg.noise_scale)
             for alpha in cfg.alpha_grid]
-    pop_stream = RngStream(_derive_seed(cfg.master_seed, (di, ai)))
-    population = generate_population(a, d, cfg.population_size, pop_stream)
+    population_seed = _derive_seed(cfg.master_seed, (di, ai))
     thetas = np.zeros((len(replications), len(sims), d))
     # A diverged iterate gets a NaN train risk, so its gen_error is NaN.
     train_risks = np.full(thetas.shape[:2], np.nan)
@@ -190,8 +238,10 @@ def _grid_point_records(cfg: SweepConfig, di: int, ai: int, replications) -> lis
     for i, r in enumerate(replications):
         seeds.append(_derive_seed(cfg.master_seed, (di, ai, r)))
         stream = RngStream(seeds[-1])
-        idx = stream.fork(0).generator.integers(0, cfg.population_size, size=cfg.n)
-        train = population[idx]
+        idx = stream.fork(0).generator.integers(0, N, size=cfg.n)
+        rows, inverse = np.unique(idx, return_inverse=True)
+        train = _population_rows(RngStream(population_seed).generator, a,
+                                 np.empty((len(rows), d)), rows.tolist())[inverse]
         problem = QuadraticProblem(train)
         ok = np.zeros(len(sims), dtype=bool)
         for k, sim in enumerate(sims):
@@ -199,8 +249,9 @@ def _grid_point_records(cfg: SweepConfig, di: int, ai: int, replications) -> lis
             if not diverged:
                 thetas[i, k], ok[k] = theta, True
         train_risks[i, ok] = surrogate_risk(thetas[i], train, cfg.p)[ok]
+    population = _population_chunks(a, d, N, RngStream(population_seed))
+    pop_risks = _chunked_risks(thetas.reshape(-1, d), population, N, cfg.p)
     with np.errstate(invalid="ignore"):
-        pop_risks = surrogate_risk(thetas.reshape(-1, d), population, cfg.p)
         gens = np.abs(train_risks - pop_risks.reshape(train_risks.shape))
     return [
         RunRecord(r, alpha, a, d, cfg.n, cfg.p, seed, gen, not math.isfinite(gen))
@@ -214,7 +265,7 @@ def run_synthetic_sweep(cfg: SweepConfig) -> list[RunRecord]:
 
     Every record's randomness derives from its grid point and replication
     (see _grid_point_records), so any execution schedule produces the
-    identical record set. One population is alive at a time.
+    identical record set.
     """
     return [record for di in range(len(cfg.d_grid)) for ai in range(len(cfg.a_grid))
             for record in _grid_point_records(cfg, di, ai, range(cfg.replications))]

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -466,6 +467,31 @@ class TestSweep:
         svg = (out / "sweep_a2_d2.svg").read_text()
         assert '<polyline points="70.00,335.91"' in svg
         assert ">1.5</text>" in svg and ">2.5</text>" in svg
+
+    def test_benchmark_sweep_writes_its_pinned_records(self, tmp_path):
+        # The benchmark's sweep config at one of its seeds. The Gram matrix is
+        # a BLAS product whose bits depend on the thread count, so one thread
+        # is pinned. A change to what a sweep computes must re-pin this hash.
+        cfg = write_config(tmp_path, "s.json", {
+            "alpha_grid": [1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0],
+            "a_grid": [1.0, 8.0],
+            "d_grid": [100],
+            "n": 1000,
+            "population_size": 100_000,
+            "replications": 2,
+            "p": 1.0,
+            "eta": 0.1,
+            "steps": 3000,
+            "noise_scale": 0.1,
+        })
+        out = tmp_path / "out"
+        command = [sys.executable, "-m", "stableou", "sweep", "--config", str(cfg),
+                   "--master-seed", "4720721261117928062", "--out", str(out)]
+        proc = subprocess.run(command, capture_output=True, text=True,
+                              env={**package_env(), "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256((out / "records.csv").read_bytes()).hexdigest()
+        assert digest == "dee5bc54e033c16740196be02f248b8ddd5f016dcec8315cbf813dd8fac269b3"
 
     def test_missing_grids_fail(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", {"alpha_grid": [1.5]})

@@ -1,7 +1,6 @@
 import math
 import operator
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +142,65 @@ class TestPopulationAndRisk:
     def test_non_finite_iterates_propagate_to_nan(self):
         out = generalization_error(np.array([np.inf]), np.ones((2, 1)), np.ones((2, 1)), 1.0)
         assert math.isnan(out)
+
+
+STREAM_SIZES = [1, COLS - 1, COLS, COLS + 1, 3 * COLS + 100]
+
+
+class TestStreamedPopulation:
+    """The sweep draws population rows and chunks from the population's stream
+    without forming it; each must be generate_population's bytes."""
+
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    @pytest.mark.parametrize("N", STREAM_SIZES)
+    def test_population_and_its_chunks_are_the_uniform_draw(self, N, d):
+        population = RngStream(42).generator.uniform(-1.25, 1.25, size=(N, d))
+        assert generate_population(2.5, d, N, RngStream(42)).tobytes() == population.tobytes()
+        chunks = [c.copy() for c in experiments._population_chunks(2.5, d, N, RngStream(42))]
+        assert [len(c) for c in chunks[:-1]] == [COLS] * (len(chunks) - 1)
+        assert np.concatenate(chunks).tobytes() == population.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    @pytest.mark.parametrize("N", STREAM_SIZES)
+    def test_rows_drawn_by_advancing_are_the_population_rows(self, N, d):
+        population = generate_population(2.5, d, N, RngStream(43))
+        picks = np.random.default_rng(N + d).integers(0, N, size=40)
+        idx = np.concatenate([[0, N - 1, N - 1], picks, [0, picks[0]]])
+        rows, inverse = np.unique(idx, return_inverse=True)
+        drawn = experiments._population_rows(
+            RngStream(43).generator, 2.5, np.empty((len(rows), d)), rows.tolist()
+        )
+        assert drawn[inverse].tobytes() == population[idx].tobytes()
+
+    def test_records_equal_those_scored_on_the_whole_population(self):
+        # The sweep's records as they were computed with the population
+        # materialised: train = population[idx], and surrogate_risk on the
+        # whole array. Three full risk chunks and a remainder.
+        cfg = SweepConfig(**{**TINY_SWEEP, "a_grid": (1.0, 2.0), "d_grid": (3,),
+                             "population_size": 3 * COLS + 100})
+        records = run_synthetic_sweep(cfg)
+        old = []
+        for ai, a in enumerate(cfg.a_grid):
+            seed = experiments._derive_seed(cfg.master_seed, (0, ai))
+            population = generate_population(a, 3, cfg.population_size, RngStream(seed))
+            thetas = np.zeros((cfg.replications, len(cfg.alpha_grid), 3))
+            train_risks, seeds = [], []
+            for r in range(cfg.replications):
+                seeds.append(experiments._derive_seed(cfg.master_seed, (0, ai, r)))
+                stream = RngStream(seeds[-1])
+                idx = stream.fork(0).generator.integers(0, cfg.population_size, size=cfg.n)
+                train = population[idx]
+                problem = simulate.QuadraticProblem(train)
+                for k, alpha in enumerate(cfg.alpha_grid):
+                    sim = SimConfig(eta=cfg.eta, steps=cfg.steps, alpha=alpha,
+                                    noise_scale=cfg.noise_scale)
+                    thetas[r, k] = simulate.final_iterate(problem, sim, stream.fork(1))[0]
+                train_risks.append(surrogate_risk(thetas[r], train, cfg.p))
+            pop_risks = surrogate_risk(thetas.reshape(-1, 3), population, cfg.p)
+            gens = np.abs(np.array(train_risks) - pop_risks.reshape(thetas.shape[:2]))
+            old += [RunRecord(r, alpha, a, 3, cfg.n, cfg.p, seeds[r], gens[r, k], False)
+                    for k, alpha in enumerate(cfg.alpha_grid) for r in range(cfg.replications)]
+        assert records == old
 
 
 @pytest.fixture(scope="module")
@@ -299,19 +357,20 @@ class TestSyntheticSweep:
         for r in records:
             assert replay_record(cfg, r) == r
 
-    def test_one_population_is_alive_at_a_time(self, monkeypatch):
-        draw = experiments.generate_population
-        refs = []
-
-        def tracked(*args, **kwargs):
-            assert all(ref() is None for ref in refs), "the previous population is still alive"
-            population = draw(*args, **kwargs)
-            refs.append(weakref.ref(population))
-            return population
-
-        monkeypatch.setattr(experiments, "generate_population", tracked)
-        run_synthetic_sweep(SweepConfig(**{**TINY_SWEEP, "a_grid": (1.0, 2.0, 3.0)}))
-        assert len(refs) == 3
+    def test_one_grid_point_at_the_sweep_scale_traces_under_10_mb(self):
+        # The 100,000 x 100 population would be 80 MB; the sweep never forms it.
+        cfg = SweepConfig(
+            alpha_grid=(1.5, 2.0), a_grid=(8.0,), d_grid=(100,), n=1000,
+            population_size=100_000, replications=2, eta=0.1, steps=3000, noise_scale=0.1,
+        )
+        tracemalloc.start()
+        try:
+            records = run_synthetic_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 4 and not any(r.diverged for r in records)
+        assert peak < 10e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_one_seed_per_grid_point_and_replication_shared_by_its_alphas(self):
         cfg = SweepConfig(**{**TINY_SWEEP, "a_grid": (1.0, 2.0), "d_grid": (2, 3)})
