@@ -6,12 +6,14 @@ with code 2.
 
 Each input rule is defined once, here, and nan fails every one of them:
 tail_index (alpha in (0, 2]), loss_power (p in [1, 2]), integer (a whole
-count, at least `least`), positive (a finite scale above 0), sample_rows
-and vector (the shapes of samples and of a frequency u). The mixing rule,
-that a Gram matrix with a smallest eigenvalue not above 0 has no stationary
-law, is simulate.require_mixing.
+count, at least `least`), positive (a finite scale above 0), and the array
+rules, which refuse empty and non-finite input: sample_rows (a matrix of
+samples), vector (a frequency u) and stationary._gap_probes (probe rows,
+each a vector). The mixing rule, that a Gram matrix with a smallest
+eigenvalue not above 0 has no stationary law, is simulate.require_mixing.
 """
 
+import math
 import numbers
 import sys
 
@@ -90,20 +92,27 @@ def positive(name: str, x) -> None:
 
 
 def sample_rows(x) -> np.ndarray:
-    """x as a float array of rows, a 1-d x as one column; a ShapeError unless that is 2-d."""
+    """x as a float array of rows, a 1-d x as one column: a nonempty matrix with finite entries.
+
+    max and min propagate nan, and neither allocates an array the size of x."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a matrix of sample rows, got shape {arr.shape}")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ShapeError(f"sample rows must form a nonempty matrix, got shape {arr.shape}")
+    if not (math.isfinite(arr.max()) and math.isfinite(arr.min())):
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ParameterError(f"sample rows must be finite; entry ({i}, {j}) is {arr[i, j]}")
     return arr
 
 
-def vector(u, d: int) -> np.ndarray:
-    """u as a float array of shape (d,), a scalar counting as length 1; a ShapeError otherwise."""
+def vector(u, d: int, name: str = "u") -> np.ndarray:
+    """u as a finite float array of shape (d,), a scalar counting as length 1."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (d,):
-        raise ShapeError(f"u has shape {u.shape}, expected ({d},)")
+        raise ShapeError(f"{name} has shape {u.shape}, expected ({d},)")
+    if not all(map(math.isfinite, u.tolist())):
+        raise ParameterError(f"{name} must be finite, got {u.tolist()}")
     return u
 
 

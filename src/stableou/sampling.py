@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, integer, positive, sample_rows, tail_index, vector
+from .errors import ParameterError, integer, is_real, positive, sample_rows, tail_index, vector
 from .rng import RngStream
 from .special import gamma_fn
 
@@ -136,8 +136,6 @@ def empirical_char_fn(samples, u) -> complex:
     vector (or scalar). Modulus is at most 1 by construction.
     """
     arr = sample_rows(samples)
-    if arr.size == 0:
-        raise ParameterError("empirical_char_fn needs at least one sample")
     return complex(np.mean(np.exp(1j * (arr @ vector(u, arr.shape[1])))))
 
 
@@ -149,9 +147,10 @@ def sas_abs_moment(p: float, alpha: float, sigma: float = 1.0) -> float:
     is the absolute moment of N(0, 2 sigma^2), finite for every p > 0.
     """
     tail_index(alpha)
-    if not (0.0 < p and (p < alpha or alpha == 2.0)):
+    if not (is_real(p) and 0.0 < p and (p < alpha or alpha == 2.0)):
         raise ParameterError(
-            f"the moment is finite only for 0 < p < alpha or alpha = 2, got p={p}, alpha={alpha}"
+            f"p must satisfy 0 < p < alpha or alpha = 2 for a finite moment, got p={p}, "
+            f"alpha={alpha}"
         )
     positive("sigma", sigma)
     ratio = 1.0 if alpha == 2.0 else gamma_fn(1.0 - p / alpha) / gamma_fn(1.0 - p / 2.0)

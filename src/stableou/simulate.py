@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (AccuracyError, DegenerateDataError, ParameterError, ShapeError, integer,
-                     positive, sample_rows, tail_index)
+from .errors import (AccuracyError, DegenerateDataError, ParameterError, integer, positive,
+                     sample_rows, tail_index)
 from .rng import RngStream
 from .sampling import StableParams, sample_isotropic_stable, sample_skewed_positive_stable
 
@@ -35,15 +35,9 @@ class QuadraticProblem:
     """Data X with the derived drift A = (1/n) X^T X; there is no label term."""
 
     def __init__(self, X):
-        X = sample_rows(X)
-        n, d = X.shape
-        if n < 1 or d < 1:
-            raise ShapeError(f"X needs n >= 1 and d >= 1, got shape {X.shape}")
-
-        self.X = X
-        self.n = n
-        self.d = d
-        A = X.T @ X / n
+        self.X = sample_rows(X)
+        self.n, self.d = self.X.shape
+        A = self.X.T @ self.X / self.n
         self.A = (A + A.T) / 2.0
         # A = eigenvectors @ diag(eigenvalues) @ eigenvectors.T, eigenvalues ascending.
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.A)
@@ -101,7 +95,8 @@ def require_mixing(lam: float) -> None:
     """Raise DegenerateDataError unless lam, the smallest Gram eigenvalue, is above 0.
 
     At 0 the chain is a random walk along that eigenvector, with no stationary
-    law whatever the burn-in. nan, from data with a nan entry, fails too.
+    law whatever the burn-in. nan fails too: a nan drift matrix gives it, and
+    so does finite data whose Gram matrix overflows.
     """
     if not lam > 0.0:
         raise DegenerateDataError(f"smallest Gram eigenvalue is {lam:.4g}; the chain does not mix")
@@ -156,25 +151,6 @@ def _in_range(x: np.ndarray) -> bool:
     return bool(x.max() <= OVERFLOW_LIMIT and x.min() >= -OVERFLOW_LIMIT)
 
 
-def _stepped_path(A, eta, shocks) -> tuple[np.ndarray, bool]:
-    """The iterates theta_0 = 0 .. theta_T of the recursion, and whether it diverged.
-
-    Every step runs and is stored; one scan of rows 1..T then cuts the path
-    before its first iterate that is non-finite or has a coordinate above
-    OVERFLOW_LIMIT in magnitude, even if later iterates come back below it.
-    """
-    path = np.empty((shocks.shape[0] + 1, shocks.shape[1]))
-    path[0] = 0.0
-    rows = path[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, theta in enumerate(_recursion(path[0], A, eta, shocks), 1):
-            path[k] = theta
-        if _in_range(rows):
-            return path, False
-        ok = np.all(np.abs(rows) <= OVERFLOW_LIMIT, axis=1)
-    return path[: int(np.argmin(ok)) + 1], True
-
-
 def coupled_stationary_draws(
     problem: QuadraticProblem, problem_hat: QuadraticProblem, sim: SimConfig, n_mc: int,
     stream: RngStream,
@@ -217,15 +193,24 @@ def euler_maruyama_run(
 ) -> Trajectory:
     """Run the discretized OU recursion from theta_0 = 0 for config.steps steps.
 
-    Every step runs; one scan afterwards cuts the trajectory before the first
-    iterate with a coordinate above 1e300 in magnitude (or non-finite) and
-    sets the ``diverged`` flag instead of raising: huge excursions are an
-    expected outcome at small alpha.
+    Every step runs and is stored; one scan of rows 1..T then cuts the
+    trajectory before its first iterate that is non-finite or has a
+    coordinate above OVERFLOW_LIMIT in magnitude, even if later iterates come
+    back below it, and sets the ``diverged`` flag instead of raising: huge
+    excursions are an expected outcome at small alpha.
     """
     check_step_size(problem, config)
-    noise = _driving_noise(problem.d, config, stream, config.steps)
-    iterates, diverged = _stepped_path(problem.A, config.eta, noise)
-    return Trajectory(iterates=iterates, diverged=diverged)
+    shocks = _driving_noise(problem.d, config, stream, config.steps)
+    path = np.empty((config.steps + 1, problem.d))
+    path[0] = 0.0
+    rows = path[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, theta in enumerate(_recursion(path[0], problem.A, config.eta, shocks), 1):
+            path[k] = theta
+        if _in_range(rows):
+            return Trajectory(iterates=path)
+        ok = np.all(np.abs(rows) <= OVERFLOW_LIMIT, axis=1)
+    return Trajectory(iterates=path[: int(np.argmin(ok)) + 1], diverged=True)
 
 
 def final_iterate(

@@ -156,7 +156,7 @@ def char_fn_diff_bound_1d(pair: NeighborPair, alpha: float, u: float) -> float:
     require_mixing(pair.sigma_min)  # at d = 1, zero exactly when a dataset has zero norm
     norm_sq = float(np.sum(pair.X**2))
     norm_hat_sq = float(np.sum(pair.X_hat**2))
-    ua = abs(float(u)) ** alpha
+    ua = abs(vector(u, 1).item()) ** alpha
     prefactor = ua * pair.n * pair.perturbation / (alpha * norm_sq * norm_hat_sq)
     return prefactor * math.exp(-ua * pair.n / (alpha * max(norm_sq, norm_hat_sq)))
 
@@ -182,17 +182,17 @@ def char_fn_diff_exact(pair: NeighborPair, alpha: float, u) -> float:
 
 
 def _gap_probes(pair: NeighborPair, probe_points, p: float, alpha: float) -> np.ndarray:
-    """The probe rows as a (k, d) array, once the loss |theta^T z|^p has a finite mean."""
+    """The nonempty (k, d) array of finite probe rows, once |theta^T z|^p has a finite mean."""
     if classify_regime(p, alpha) is StabilityRegime.UNSTABLE:
         raise UnstableRegimeError(
             f"p={p} >= alpha={alpha} with alpha < 2: the expected loss is infinite "
             "and no finite stability gap exists"
         )
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    if probes.shape[1] != pair.d:
-        raise ShapeError(
-            f"probe points of shape {probes.shape} do not match data dimension {pair.d}"
-        )
+    if probes.ndim != 2 or probes.shape[0] == 0:
+        raise ShapeError(f"probe points must form a nonempty matrix, got shape {probes.shape}")
+    for z in probes:
+        vector(z, pair.d, name="probe")
     return probes
 
 

@@ -75,6 +75,4 @@ def estimate_tail_index(vectors, K1: int, K2: int) -> TailEstimate:
 def median_center(samples) -> np.ndarray:
     """Subtract the coordinate-wise median (even counts average the central pair)."""
     arr = sample_rows(samples)
-    if arr.shape[0] == 0:
-        raise ShapeError("cannot center an empty sample set")
     return arr - np.median(arr, axis=0)

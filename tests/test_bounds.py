@@ -220,6 +220,7 @@ class TestThresholdAlpha0:
         result = threshold_alpha0(1e-6, 1.0)
         assert result is NO_THRESHOLD
         assert isinstance(result, NoThreshold)
+        assert repr(result) == "NoThreshold"
 
     def test_result_is_the_smallest_qualifying_index(self):
         level = 1e5
@@ -278,6 +279,12 @@ class TestThresholdAlpha0:
 
 
 class TestAlphaFactor:
+    @pytest.mark.parametrize("p", [1.5, 1.8], ids=["p=alpha", "p>alpha"])
+    def test_p_at_or_above_alpha_is_refused(self, p):
+        # Gamma(1 - p/alpha) has its pole at p = alpha and no finite moment lies beyond.
+        with pytest.raises(ParameterError, match=f"^need p < alpha, got p={p}, alpha=1.5"):
+            alpha_factor(1.5, p, 1.0)
+
     def test_matches_bound_alpha_dependence(self):
         # The bound at fixed (R, n, p) depends on alpha only through this factor.
         p, s2 = 1.0, 2.0

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
 import shutil
 import subprocess
@@ -914,6 +915,15 @@ class TestPlumbing:
         proc = subprocess.run(command, capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr
         assert json.loads((out / "bounds.json").read_text())["regime"] == "StableSurrogate"
+
+    def test_python_dash_m_exits_with_run_clis_code(self, monkeypatch, tmp_path, capsys):
+        # In process, so the module's own lines run: a refused alpha is exit code 1.
+        argv = ["bounds", "--p", "1", "--alpha", "3", "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(sys, "argv", ["stableou", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("stableou", run_name="__main__")
+        assert exit_info.value.code == run_cli(argv) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "ParameterError"
 
 
 # A config each subcommand accepts, with every required key set. Typing fails

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from stableou import (
     AccuracyError,
@@ -203,6 +204,41 @@ class TestStreamedPopulation:
         assert records == old
 
 
+def uniform_abs_moment(theta, a, p):
+    """E|theta^T x|^p for x uniform on (-a/2, a/2)^d, independently of the package.
+
+    p = 2 is the variance a^2 ||theta||^2 / 12 and d = 1 the moment
+    |theta|^p (a/2)^p / (p + 1). Otherwise, for 0 < p < 2, von Bahr's (1965)
+    formula reads it off the characteristic function prod_i sinc(a theta_i t / 2):
+    (2 Gamma(p + 1) sin(pi p / 2) / pi) int_0^inf (1 - phi(t)) t^(-p-1) dt.
+    """
+    if p == 2.0:
+        return a * a * float(theta @ theta) / 12.0
+    if theta.shape == (1,):
+        return abs(theta[0]) ** p * (a / 2.0) ** p / (p + 1.0)
+
+    def integrand(t):
+        # np.sinc(y) is sin(pi y) / (pi y).
+        return (1.0 - np.prod(np.sinc(a * theta * t / (2.0 * np.pi)))) * t ** (-p - 1.0)
+
+    edges = (0.0, 1.0, 10.0, 100.0, math.inf)
+    integral = sum(scipy.integrate.quad(integrand, lo, hi)[0] for lo, hi in zip(edges, edges[1:]))
+    return 2.0 * math.gamma(p + 1.0) * math.sin(math.pi * p / 2.0) / math.pi * integral
+
+
+@pytest.mark.parametrize("d, p, a", [(5, 2.0, 2.0), (1, 1.0, 8.0), (1, 1.5, 8.0), (5, 1.0, 1.0),
+                                     (5, 1.5, 2.0)])
+def test_population_risk_matches_the_uniform_moment(d, p, a):
+    # The sweep's population side, from generate_population to surrogate_risk,
+    # against an oracle that shares none of its code, within 5 standard errors.
+    N = 200_000
+    theta = np.random.default_rng([d, int(10 * p)]).standard_normal(d)
+    population = generate_population(a, d, N, RngStream(7))
+    losses = np.abs(population @ theta) ** p
+    bound = 5.0 * losses.std(ddof=1) / math.sqrt(N)
+    assert abs(surrogate_risk(theta, population, p) - uniform_abs_moment(theta, a, p)) <= bound
+
+
 @pytest.fixture(scope="module")
 def population_and_thetas():
     # The sweep's population size and dimension, with 32 iterates at its scale.
@@ -259,26 +295,19 @@ class TestBlockRisk:
             want = math.fsum(abs(math.fsum(map(operator.mul, row, theta))) ** 1.5 for row in rows)
             assert block[i] == pytest.approx(want / m, rel=1e-13)
 
-    def test_scratch_stays_small_and_other_dtypes_are_converted_by_chunk(
-        self, population_and_thetas
-    ):
+    def test_scratch_stays_small_and_other_dtypes_score_as_float64(self, population_and_thetas):
         data, _ = population_and_thetas
         thetas = 0.05 * np.random.default_rng(4).standard_normal((70, 100))
         single = data.astype(np.float32)
-
-        def traced_peak(population):
-            tracemalloc.start()
-            try:
-                surrogate_risk(thetas, population, 1.5)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        # A 32 x population score block would be 25.6 MB, a float64 copy of
-        # the float32 population 80 MB.
-        for population in (data, single):
-            peak = traced_peak(population)
-            assert peak < 4e6, f"{population.dtype} population: traced peak {peak / 1e6:.2f} MB"
+        tracemalloc.start()
+        try:
+            surrogate_risk(thetas, data, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A 32 x population score block would be 25.6 MB, and an isfinite
+        # mask of the population 10 MB.
+        assert peak < 4e6, f"traced peak {peak / 1e6:.2f} MB"
         assert np.array_equal(
             surrogate_risk(thetas, single, 1.5), surrogate_risk(thetas, single.astype(float), 1.5)
         )
@@ -694,7 +723,8 @@ class TestCauchyDoublingCheck:
         # max(0.0, nan) is 0.0, so without the check a nan window reads as converged.
         values = values.copy()
         values[index] = np.nan
-        with pytest.raises(ParameterError, match=f"^values must be finite; entry {index} is nan"):
+        with pytest.raises(ParameterError,
+                           match=rf"^sample rows must be finite; entry \({index}, 0\) is nan"):
             cauchy_doubling_check(values, initial_window=window)
 
 

@@ -14,6 +14,7 @@ from stableou import (
     ParameterError,
     QuadraticProblem,
     RngStream,
+    ShapeError,
     SimConfig,
     StableParams,
     StationaryCharFn,
@@ -22,10 +23,14 @@ from stableou import (
     cauchy_doubling_check,
     char_fn_diff_bound_1d,
     char_fn_diff_bound_dd,
+    char_fn_diff_exact,
     classify_regime,
+    empirical_char_fn,
     empirical_stability_gap,
     estimate_tail_index,
+    exact_stability_gap,
     generate_population,
+    median_center,
     sample_isotropic_stable,
     sample_sas_scalar,
     sample_skewed_positive_stable,
@@ -33,6 +38,7 @@ from stableou import (
     stationary_sample,
     surrogate_risk,
 )
+from stableou import experiments
 
 
 def test_every_exported_name_resolves():
@@ -192,6 +198,35 @@ P_SITES = {
     "BoundInputs": lambda p: BoundInputs(R=1.0, n=10, p=p, alpha=1.5),
     "classify_regime": lambda p: classify_regime(p, 1.5),
 }
+FREQUENCY_SITES = {
+    "StationaryCharFn.exponent": lambda u: StationaryCharFn(np.eye(2), 1.5).exponent([1.0, u]),
+    "char_fn_diff_exact": lambda u: char_fn_diff_exact(PAIR, 1.5, u),
+    "char_fn_diff_bound_1d": lambda u: char_fn_diff_bound_1d(PAIR, 1.5, u),
+    "char_fn_diff_bound_dd": lambda u: char_fn_diff_bound_dd(PAIR, 1.5, [u]),
+    "empirical_char_fn": lambda u: empirical_char_fn(np.ones((3, 2)), [u, 1.0]),
+}
+# Every site that reads the rows rule, as a function of its sample matrix.
+ROWS_SITES = {
+    "QuadraticProblem": QuadraticProblem,
+    "NeighborPair": lambda x: NeighborPair(x, x),
+    "estimate_tail_index": lambda x: estimate_tail_index(x, 2, 10),
+    "median_center": median_center,
+    "empirical_char_fn": lambda x: empirical_char_fn(x, np.ones(x.shape[-1])),
+    "surrogate_risk": lambda x: surrogate_risk(np.ones(x.shape[-1]), x, 1.0),
+    "cauchy_doubling_check": lambda x: cauchy_doubling_check(x, initial_window=5),
+}
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+def samples_with(value):
+    samples = np.random.default_rng(0).uniform(-1.0, 1.0, size=(20, 2))
+    samples[13, 1] = value
+    return samples
+
+
 OUT_OF_DOMAIN = {
     **{f"{site}-alpha={alpha}": (partial(build, alpha), "alpha")
        for site, build in ALPHA_SITES.items() for alpha in (0.0, 2.5, math.nan)},
@@ -211,19 +246,73 @@ OUT_OF_DOMAIN = {
     # alpha_factor returned a complex number at sigma_sq = -1 and 0.0 at inf.
     **{f"alpha_factor-sigma_sq={s}": (partial(alpha_factor, 1.5, 1.0, s), "sigma_sq")
        for s in (-1.0, math.inf)},
+    # At alpha = 2 these returned nan and inf.
+    **{f"sas_abs_moment-p=inf-sigma={s}": (partial(sas_abs_moment, math.inf, 2.0, s), "p")
+       for s in (0.5, 2.0)},
+    # The frequency rule. A nan u spent 8,192 quadrature nodes and then raised
+    # AccuracyError; at u = inf the bounds returned nan.
+    **{f"{site}-u={u}": (partial(build, u), "u") for site, build in FREQUENCY_SITES.items()
+       for u in (math.nan, math.inf)},
+    # A nan probe gave a nan gap, or an AccuracyError after 8,192 nodes.
+    "exact_stability_gap-probe=nan": (
+        lambda: exact_stability_gap(PAIR, [[1.0], [math.nan]], 1.0, 1.5), "probe"),
+    "empirical_stability_gap-probe=nan": (
+        lambda: empirical_stability_gap(PAIR, [[math.nan]], 1.0, 1.5, SIM, 200, RngStream(0)),
+        "probe"),
+    # The rows rule. Data with a nan entry gave a nan result, or a misleading
+    # DegenerateDataError from the tail estimator or the mixing rule.
+    **{f"{site}-{value}": (partial(build, samples_with(value)), "sample rows")
+       for site, build in ROWS_SITES.items() for value in (math.nan, -math.inf)},
 }
 
 
+@pytest.fixture
+def no_chain_or_quadrature(monkeypatch):
+    """Make any coupled chain step or quadrature node an error."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the input reached a chain step or a quadrature node")
+
+    # empirical_stability_gap looks the chains up in its own module.
+    monkeypatch.setattr(experiments, "coupled_stationary_draws", refuse)
+    monkeypatch.setattr(StationaryCharFn, "_integrand", refuse)
+
+
 @pytest.mark.parametrize("case", OUT_OF_DOMAIN)
-def test_out_of_domain_values_are_refused(case):
+def test_out_of_domain_values_are_refused(case, no_chain_or_quadrature):
     build, field = OUT_OF_DOMAIN[case]
     with pytest.raises(ParameterError, match=f"^{field} must"):
         build()
 
 
+# Empty and misshapen array inputs, each refused by its array rule before any
+# chain step or quadrature node. An empty probe set ran the coupled chains
+# and then failed in numpy's argmax, or returned a gap of 0; a (3, 0) array
+# returned an empty array, a bare reshape ValueError or a zero-norm
+# DegenerateDataError; the other empty inputs raised four different messages.
+SHAPE_OUT_OF_DOMAIN = {
+    **{f"{site}-{shape_id(shape)}": (partial(build, np.empty(shape)), "sample rows")
+       for site, build in ROWS_SITES.items() for shape in ((0, 2), (3, 0), (0,))},
+    **{f"exact_stability_gap-probes-{shape_id(shape)}": (
+        partial(exact_stability_gap, PAIR, np.ones(shape), 1.0, 1.5), "probe points")
+       for shape in ((0, 1), (1, 1, 1))},
+    **{f"empirical_stability_gap-probes-{shape_id(shape)}": (
+        partial(empirical_stability_gap, PAIR, np.ones(shape), 1.0, 1.5, SIM, 200, RngStream(0)),
+        "probe points")
+       for shape in ((0, 1), (1, 1, 1))},
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_OUT_OF_DOMAIN)
+def test_empty_and_misshapen_arrays_are_refused(case, no_chain_or_quadrature):
+    build, field = SHAPE_OUT_OF_DOMAIN[case]
+    with pytest.raises(ShapeError, match=f"^{field} must form a nonempty matrix"):
+        build()
+
+
 # The message of each input rule; its one home is the one line that spells it.
 RULE_MESSAGES = ("must lie in (0, 2]", "must lie in [1, 2]", "positive and finite",
-                 "does not mix", "must be >= ")
+                 "does not mix", "must be >= ", "sample rows must form a nonempty matrix",
+                 "sample rows must be finite", "must be finite, got")
 
 
 def test_each_input_rule_is_spelled_on_one_line():
@@ -262,3 +351,26 @@ def test_no_module_imports_a_private_name_from_simulate():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert modules and private == []
+
+
+def test_no_module_has_an_unused_import():
+    # No linter runs with the tests, and a change that deletes the last use of
+    # a name should delete its import too. An alias on a line marked
+    # "# noqa: F401" counts as used, and so do the package's re-exports.
+    unused = []
+    for path in sorted(Path(stableou.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(stableou.__all__)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append((path.name, alias.lineno, bound))
+    assert unused == []

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,6 +130,44 @@ def test_subordinator_rejects_bad_index(alpha_prime):
         sample_skewed_positive_stable(alpha_prime, RngStream(0), size=1)
 
 
+class EndpointFirst:
+    """A generator whose first uniform draw holds the lower endpoint and first exponential a 0.
+
+    Every later draw comes from numpy's generator at the same seed.
+    """
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.calls = []
+
+    def uniform(self, low, high, size):
+        u = self.gen.uniform(low, high, size=size)
+        if "uniform" not in self.calls:
+            u[1] = low
+        self.calls.append("uniform")
+        return u
+
+    def standard_exponential(self, size):
+        w = self.gen.standard_exponential(size=size)
+        if "standard_exponential" not in self.calls:
+            w[2] = 0.0
+        self.calls.append("standard_exponential")
+        return w
+
+
+@pytest.mark.parametrize("draw", [
+    lambda stream: sample_sas_scalar(StableParams(1.5, 1.0), stream, size=4),
+    lambda stream: sample_skewed_positive_stable(0.75, stream, size=4),
+], ids=["sas_scalar", "skewed_positive"])
+def test_endpoint_draws_are_redrawn(draw):
+    # uniform() can return its lower endpoint -pi/2 and an exponential can be 0;
+    # cos(-pi/2) and a zero divisor would break the CMS transform, so each is redrawn.
+    gen = EndpointFirst(8)
+    x = draw(SimpleNamespace(generator=gen))
+    assert gen.calls == ["uniform", "uniform", "standard_exponential", "standard_exponential"]
+    assert np.all(np.isfinite(x)) and np.all(x != 0.0)
+
+
 def test_subordinator_draws_are_positive():
     for alpha_prime in (0.25, 0.5, 0.75, 0.95):
         a = sample_skewed_positive_stable(alpha_prime, RngStream(11), size=250000)
@@ -221,7 +260,7 @@ def test_empirical_char_fn_modulus_bound():
 
 
 def test_empirical_char_fn_rejects_bad_input():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ShapeError, match="^sample rows must form a nonempty matrix"):
         empirical_char_fn(np.empty((0, 2)), np.ones(2))
     with pytest.raises(ShapeError):
         empirical_char_fn(np.ones((10, 2)), np.ones(3))

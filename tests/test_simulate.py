@@ -287,7 +287,11 @@ NOISY = SimConfig(eta=0.1, steps=10000, alpha=2.0, noise_scale=1.0)
 
 
 SINGULAR_PAIR = NeighborPair(SINGULAR.X, [[1.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
-WITH_NAN = QuadraticProblem(np.array([[1.0, 0.0], [np.nan, 1.0], [2.0, 0.0]]))
+# Finite data whose Gram matrix overflows to inf has nan eigenvalues.
+OVERFLOWING_X = np.array([[1.0, 0.0], [1e200, 1.0], [2.0, 0.0]])
+with np.errstate(over="ignore"):
+    OVERFLOWING = QuadraticProblem(OVERFLOWING_X)
+    OVERFLOWING_PAIR = NeighborPair([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]], OVERFLOWING_X)
 
 
 # Every consumer of the stationary law refuses a problem that has none, by one rule.
@@ -313,14 +317,26 @@ def test_a_singular_gram_matrix_does_not_mix(draw):
 
 
 @pytest.mark.parametrize("draw", [
-    lambda: default_burn_in(WITH_NAN, NOISY),
-    lambda: StationaryCharFn(WITH_NAN, 1.5),
-    lambda: empirical_stability_gap(NeighborPair([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]], WITH_NAN.X),
-                                    [[1.0, 1.0]], 1.0, 2.0, NOISY, 200, RngStream(0)),
-], ids=["default_burn_in", "StationaryCharFn", "empirical_stability_gap-nan_in_X_hat"])
+    lambda: default_burn_in(OVERFLOWING, NOISY),
+    lambda: StationaryCharFn(OVERFLOWING, 1.5),
+    lambda: StationaryCharFn(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1.5),
+    lambda: empirical_stability_gap(OVERFLOWING_PAIR, [[1.0, 1.0]], 1.0, 2.0, NOISY, 200,
+                                    RngStream(0)),
+], ids=["default_burn_in-overflowing_X", "StationaryCharFn-overflowing_X",
+        "StationaryCharFn-nan_matrix", "empirical_stability_gap-overflowing_X_hat"])
 def test_a_gram_matrix_with_nan_does_not_mix(draw):
     with pytest.raises(DegenerateDataError, match="eigenvalue is nan; the chain does not mix"):
         draw()
+
+
+@pytest.mark.parametrize("build", [
+    lambda X: QuadraticProblem(X),
+    lambda X: NeighborPair([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]], X),
+], ids=["QuadraticProblem", "NeighborPair-X_hat"])
+def test_data_with_nan_is_refused_by_the_rows_rule(build):
+    # The mixing rule refused it only downstream, once a chain or law was asked for.
+    with pytest.raises(ParameterError, match=r"^sample rows must be finite; entry \(1, 0\) is nan"):
+        build(np.array([[1.0, 0.0], [np.nan, 1.0], [2.0, 0.0]]))
 
 
 class TestStationarySample:

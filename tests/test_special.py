@@ -97,3 +97,9 @@ def test_gamma_log_convexity_on_positive_axis():
     logs = np.log([gamma_fn(x) for x in xs])
     second = np.diff(logs, 2)
     assert np.all(second > -1e-12)
+
+
+@pytest.mark.parametrize("fn", [gamma_fn, digamma], ids=["gamma_fn", "digamma"])
+def test_nan_is_refused(fn):
+    with pytest.raises(PoleError, match=f"^{fn.__name__} is undefined at nan"):
+        fn(math.nan)

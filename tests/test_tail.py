@@ -34,6 +34,15 @@ class TestEstimateValidation:
         with pytest.raises(ParameterError):
             estimate_tail_index(data, K1=10, K2=0)
 
+    @pytest.mark.parametrize("block, message", [
+        ([1.0, -1.0], "^block sum 0 has zero norm"),
+        ([1.0, -0.5], "^estimated 1/alpha = -0.5 is not positive"),
+    ], ids=["zero_block_sum", "negative_inverse_alpha"])
+    def test_blocks_that_cancel_are_refused(self, block, message):
+        # x, -x sums to zero; x, -x/2 sums to x/2, shorter than the mean raw norm.
+        with pytest.raises(DegenerateDataError, match=message):
+            estimate_tail_index(np.array(block), K1=2, K2=1)
+
     def test_requires_enough_vectors(self):
         with pytest.raises(ShapeError):
             estimate_tail_index(np.ones(99), K1=10, K2=10)
