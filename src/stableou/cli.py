@@ -12,8 +12,9 @@ underscores (and in lower case too, so `--k1` sets `K1`).
 a number within float range, not nan or inf; an int key an integral number
 (so `40.0` is 40); a bool key only true or false, a str key only a string and
 a sweep grid only a list; any other value is a TypeError naming the key.
-Exit codes: 0 success, 1 validation error, 2 numerical-accuracy error; every
-rejected input, flag or config, is a one-line JSON error on stderr.
+Exit codes: 0 success, 1 validation error, 2 numerical-accuracy error, 130
+interrupted; every rejected input, flag or config, and an interrupt, is a
+one-line JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -146,9 +147,14 @@ def _from_config(cls, cfg: dict):
 def _output(out_dir: Path, name: str) -> Path:
     """out_dir / name, creating out_dir on the first write.
 
-    Every output goes through here, so an input a handler rejects leaves no directory.
+    Every output goes through here, so an input a handler rejects leaves no
+    directory, and an older run's outputs stay untouched. Any output but the
+    manifest first removes an older manifest.json: the manifest is written
+    last, so a run that stops part way leaves none beside its outputs.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
+    if name != "manifest.json":
+        (out_dir / "manifest.json").unlink(missing_ok=True)
     return out_dir / name
 
 
@@ -434,6 +440,9 @@ def run_cli(argv=None) -> int:
         return _HANDLERS[args.command](cfg, args.out)
     except SystemExit as exc:  # only --help and --version exit; a usage error raises
         return exc.code
+    except KeyboardInterrupt:
+        _emit_error(KeyboardInterrupt("interrupted before the manifest was written"))
+        return 130  # 128 + SIGINT, as a shell reports it
     except AccuracyError as exc:
         _emit_error(exc)
         return 2

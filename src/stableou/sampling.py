@@ -21,6 +21,9 @@ from .errors import ParameterError, integer, is_real, positive, sample_rows, tai
 from .rng import RngStream
 from .special import gamma_fn
 
+# Entries per block of the CMS transform and rows per block of the Gaussian draws.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class StableParams:
@@ -96,14 +99,18 @@ def sample_skewed_positive_stable(alpha_prime: float, stream: RngStream, size: i
 
     u = _uniform_angles(gen, n)
     w = _positive_exponentials(gen, n)
-    shifted = alpha_prime * (u + np.pi / 2.0)
+    # Block by block, so that the transform's temporaries stay _BLOCK long;
+    # each block's values are written over its angles.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a = (
-            np.sin(shifted)
-            / np.cos(u) ** (1.0 / alpha_prime)
-            * (np.cos(u - shifted) / w) ** ((1.0 - alpha_prime) / alpha_prime)
-        )
-    return a
+        for start in range(0, n, _BLOCK):
+            ub, wb = u[start:start + _BLOCK], w[start:start + _BLOCK]
+            shifted = alpha_prime * (ub + np.pi / 2.0)
+            ub[:] = (
+                np.sin(shifted)
+                / np.cos(ub) ** (1.0 / alpha_prime)
+                * (np.cos(ub - shifted) / wb) ** ((1.0 - alpha_prime) / alpha_prime)
+            )
+    return u
 
 
 def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, size: int):
@@ -119,14 +126,33 @@ def sample_isotropic_stable(d: int, params: StableParams, stream: RngStream, siz
     """
     d = integer("d", d, least=1)
     n = integer("size", size, least=0)
+    return next(_isotropic_blocks(d, params, stream, n, max(n, 1)))
+
+
+def _isotropic_blocks(d: int, params: StableParams, stream: RngStream, size: int, rows: int):
+    """sample_isotropic_stable's draw, yielded in consecutive blocks of at most ``rows`` rows.
+
+    All ``size`` subordinator values are drawn first, then each block's
+    Gaussian rows as it is asked for, so the stream order and every value
+    are those of the one-block draw; a consumer that stops early leaves the
+    remaining Gaussian rows undrawn. ``size`` = 0 yields one empty block.
+    """
     gen = stream.generator
     alpha, sigma = params.alpha, params.sigma
-
     if alpha == 2.0:
-        return sigma * np.sqrt(2.0) * gen.standard_normal((n, d))
-    a = sample_skewed_positive_stable(alpha / 2.0, stream, size=n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return sigma * np.sqrt(2.0 * a)[:, None] * gen.standard_normal((n, d))
+        scale = None
+    else:
+        # sigma * sqrt(2 A), computed in place over the draws A.
+        scale = sample_skewed_positive_stable(alpha / 2.0, stream, size=size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale *= 2.0
+            np.sqrt(scale, out=scale)
+            scale *= sigma
+    for start in range(0, max(size, 1), rows):
+        g = gen.standard_normal((min(rows, size - start), d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            g *= sigma * np.sqrt(2.0) if scale is None else scale[start:start + rows, None]
+        yield g
 
 
 def empirical_char_fn(samples, u) -> complex:

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import (AccuracyError, DegenerateDataError, ParameterError, integer, positive,
                      sample_rows, tail_index)
 from .rng import RngStream
-from .sampling import StableParams, sample_isotropic_stable, sample_skewed_positive_stable
+from .sampling import (_BLOCK, StableParams, _isotropic_blocks, sample_isotropic_stable,
+                       sample_skewed_positive_stable)
 
 OVERFLOW_LIMIT = 1e300
 
@@ -180,12 +181,46 @@ def coupled_stationary_draws(
     return state[0].T, state[1].T
 
 
+def _to_shocks(e: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Unit-scale draws e scaled in place into eta^(1/alpha) * noise_scale * e, inf on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e *= config.noise_scale
+        e *= np.float64(config.eta) ** (1.0 / config.alpha)
+    return e
+
+
 def _driving_noise(d: int, config: SimConfig, stream: RngStream, size: int) -> np.ndarray:
     """The (size, d) shocks eta^(1/alpha) * noise_scale * E_k from ``stream``, inf on overflow."""
     e = sample_isotropic_stable(d, StableParams(config.alpha, 1.0), stream, size=size)
-    # The array comes first so that numpy writes the product into its temporary.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return config.noise_scale * e * np.float64(config.eta) ** (1.0 / config.alpha)
+    return _to_shocks(e, config)
+
+
+def _chain(problem: QuadraticProblem, config: SimConfig, stream: RngStream, steps: int):
+    """Yield theta_1 .. theta_steps from theta_0 = 0 in consecutive blocks of rows.
+
+    The shocks are _driving_noise's for config.steps steps, value for value
+    and in its stream order, drawn one block at a time; each block's iterates
+    are written over its shocks, and no block after the one holding step
+    ``steps`` is drawn. Nothing is checked: the caller tests each block and
+    sets the errstate.
+    """
+    params = StableParams(config.alpha, 1.0)
+    theta = np.zeros(problem.d)
+    done = 0
+    for block in _isotropic_blocks(problem.d, params, stream, config.steps, _BLOCK):
+        block = _to_shocks(block[: steps - done], config)
+        for k, theta in enumerate(_recursion(theta, problem.A, config.eta, block)):
+            block[k] = theta
+        yield block
+        done += len(block)
+        if done == steps:
+            return
+
+
+def _first_out_of_range(rows: np.ndarray) -> int:
+    """Index of the first row of rows that _in_range refuses; rows must hold one."""
+    ok = np.all(np.abs(rows) <= OVERFLOW_LIMIT, axis=1)
+    return int(np.argmin(ok))
 
 
 def euler_maruyama_run(
@@ -200,17 +235,18 @@ def euler_maruyama_run(
     excursions are an expected outcome at small alpha.
     """
     check_step_size(problem, config)
-    shocks = _driving_noise(problem.d, config, stream, config.steps)
     path = np.empty((config.steps + 1, problem.d))
     path[0] = 0.0
     rows = path[1:]
+    start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, theta in enumerate(_recursion(path[0], problem.A, config.eta, shocks), 1):
-            path[k] = theta
+        for block in _chain(problem, config, stream, config.steps):
+            rows[start:start + len(block)] = block
+            start += len(block)
         if _in_range(rows):
             return Trajectory(iterates=path)
-        ok = np.all(np.abs(rows) <= OVERFLOW_LIMIT, axis=1)
-    return Trajectory(iterates=path[: int(np.argmin(ok)) + 1], diverged=True)
+        cut = _first_out_of_range(rows)
+    return Trajectory(iterates=path[: cut + 1], diverged=True)
 
 
 def final_iterate(
@@ -281,7 +317,11 @@ def stationary_sample(
 
     Returns an (n_samples, d) array. The burn-in is ``default_burn_in``'s,
     which refuses a singular Gram matrix and only warns when the burn-in is
-    short, since the draws are still usable as rough approximations.
+    short, since the draws are still usable as rough approximations. The
+    draws are rows of ``euler_maruyama_run``'s path at the same stream, but
+    only the steps up to the last draw run, one block at a time, and only
+    the draws are kept. Raises AccuracyError if an iterate among those
+    steps is non-finite or above OVERFLOW_LIMIT in magnitude.
     """
     n_samples = integer("n_samples", n_samples, least=0)
     thinning = integer("thinning", thinning, least=1)
@@ -296,11 +336,18 @@ def stationary_sample(
             f"thinning {thinning} after a burn-in of {burn_in} (needs {needed})"
         )
 
-    traj = euler_maruyama_run(problem, config, stream=stream)
-    if traj.diverged and len(traj) <= needed:
-        raise AccuracyError(
-            f"trajectory overflowed after {len(traj) - 1} steps; stationary samples unavailable"
-        )
+    check_step_size(problem, config)
     idx = burn_in + thinning * np.arange(1, n_samples + 1)
-    return traj.iterates[idx]
-
+    out = np.empty((n_samples, problem.d))
+    first = 1  # the step of the block's first row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _chain(problem, config, stream, needed):
+            if not _in_range(block):
+                raise AccuracyError(
+                    f"trajectory overflowed after {first - 1 + _first_out_of_range(block)} "
+                    "steps; stationary samples unavailable"
+                )
+            lo, hi = np.searchsorted(idx, (first, first + len(block)))
+            out[lo:hi] = block[idx[lo:hi] - first]
+            first += len(block)
+    return out

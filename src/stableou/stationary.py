@@ -20,7 +20,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import StabilityRegime, classify_regime
-from .errors import AccuracyError, ShapeError, UnstableRegimeError, tail_index, vector
+from .errors import (AccuracyError, ShapeError, UnstableRegimeError, sample_rows, tail_index,
+                     vector)
 from .sampling import sas_abs_moment
 from .simulate import QuadraticProblem, require_mixing
 
@@ -42,8 +43,9 @@ class StationaryCharFn:
     A is the drift matrix or a QuadraticProblem; a problem's eigendecomposition
     is reused, a matrix is symmetrized and decomposed once here. A must be
     strictly positive definite: the stationary law does not exist otherwise,
-    and require_mixing raises DegenerateDataError. Immutable afterwards, so
-    concurrent evaluation is safe.
+    and require_mixing raises DegenerateDataError. A matrix with a non-finite
+    entry is refused first, by sample_rows's ParameterError. Immutable
+    afterwards, so concurrent evaluation is safe.
     """
 
     def __init__(self, A, alpha: float):
@@ -55,6 +57,7 @@ class StationaryCharFn:
                 A = A.reshape(1, 1)
             if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
                 raise ShapeError(f"A must be square and non-empty, got shape {A.shape}")
+            A = sample_rows(A)
             # Symmetrize to absorb roundoff before the eigendecomposition.
             A = (A + A.T) / 2.0
             lam, q = np.linalg.eigh(A)

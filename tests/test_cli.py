@@ -28,7 +28,7 @@ from stableou import (
     sample_sas_scalar,
 )
 from stableou.bounds import BoundInputs
-from stableou.cli import _DEFAULTS, _build_parser, _key_type, _typed, run_cli
+from stableou.cli import _DEFAULTS, _HANDLERS, _build_parser, _key_type, _output, _typed, run_cli
 from stableou.experiments import SweepConfig
 
 
@@ -459,6 +459,36 @@ class TestSweep:
         assert not (out / "sweep_a2_d1.svg").exists()
         assert read_manifest(out)["outputs"] == ["aggregate.csv", "records.csv"]
 
+    def test_a_run_that_fails_part_way_removes_an_older_manifest(self, tmp_path, capsys):
+        # It left the seed-1 manifest beside the seed-2 records.csv.
+        cfg = write_config(tmp_path, "s.json", SWEEP_CFG)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+
+        def sweep(seed, out_dir):
+            return run_cli(["sweep", "--config", str(cfg), "--master-seed", seed,
+                            "--out", str(out_dir)])
+
+        assert sweep("1", out) == 0
+        svg = out / "sweep_a2_d2.svg"
+        svg.unlink()
+        svg.mkdir()  # so the seed-2 run fails at its plot, after records.csv
+        capsys.readouterr()
+        assert sweep("2", out) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+        assert not (out / "manifest.json").exists()
+        assert sweep("2", fresh) == 0
+        assert (out / "records.csv").read_bytes() == (fresh / "records.csv").read_bytes()
+
+    def test_an_input_refused_before_any_write_leaves_an_older_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "s.json", SWEEP_CFG)
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        bad = write_config(tmp_path, "bad.json", {**SWEEP_CFG, "alpha_grid": [True]})
+        run_failing(["sweep", "--config", str(bad), "--out", str(out)], capsys)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_one_alpha_and_one_replication_plot_one_point(self, tmp_path):
         # Both axes then have zero span, and each is widened to a unit one.
         cfg = write_config(tmp_path, "s.json",
@@ -589,10 +619,11 @@ class TestVerifyCharfn:
     def test_coordinates_drawn_independently_fail(self, tmp_path, capsys, monkeypatch):
         # Independent SaS coordinates have SaS marginals but not the isotropic
         # joint law; their projection on the diagonal has the wrong scale.
-        def independent(d, params, stream, size):
-            return sample_sas_scalar(params, stream, size * d).reshape(size, d)
+        # The chain draws its shocks in blocks, through this seam.
+        def independent(d, params, stream, size, rows):
+            yield sample_sas_scalar(params, stream, size * d).reshape(size, d)
 
-        monkeypatch.setattr("stableou.simulate.sample_isotropic_stable", independent)
+        monkeypatch.setattr("stableou.simulate._isotropic_blocks", independent)
         out = tmp_path / "out"
         code = run_cli(["verify-charfn", "--d", "4", "--alpha", "1.5", "--seed", "0",
                         "--out", str(out)])
@@ -857,6 +888,20 @@ class TestPlumbing:
         out = tmp_path / "new" / "out"
         run_failing([command, "--config", str(cfg), "--out", str(out)], capsys)
         assert not (tmp_path / "new").exists()
+
+    def test_an_interrupt_is_a_json_error_with_exit_code_130(self, tmp_path, capsys, monkeypatch):
+        # It printed a traceback.
+        def interrupted(cfg, out_dir):
+            _output(out_dir, "bounds.json").write_text("{}")
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(_HANDLERS, "bounds", interrupted)
+        out = tmp_path / "out"
+        assert run_cli(["bounds", "--p", "1", "--alpha", "1.5", "--out", str(out)]) == 130
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert json.loads(err)["error"] == "KeyboardInterrupt"
+        assert (out / "bounds.json").exists() and not (out / "manifest.json").exists()
 
     def test_readme_examples_parse(self):
         # Runs nothing: each `stableou ...` line in the README's fenced blocks

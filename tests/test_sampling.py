@@ -21,7 +21,7 @@ from stableou import (
     sample_skewed_positive_stable,
     sas_abs_moment,
 )
-from stableou.sampling import _uniform_angles
+from stableou.sampling import _BLOCK, _isotropic_blocks, _positive_exponentials, _uniform_angles
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.3, 2.0001, 3.0])
@@ -186,6 +186,43 @@ def test_subordinator_half_matches_levy_law():
 def test_subordinator_laplace_transform():
     a = sample_skewed_positive_stable(0.75, RngStream(13), size=100000)
     assert np.mean(np.exp(-a)) == pytest.approx(math.exp(-1.0), abs=0.01)
+
+
+@pytest.mark.parametrize("alpha_prime", [0.005, 0.5, 0.75, 0.999])
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_subordinator_in_blocks_matches_the_one_expression_transform(alpha_prime, size):
+    # The transform ran as one expression over all the angles and exponentials;
+    # in blocks every value, inf and nan included, must come out bit for bit.
+    gen = RngStream(19).generator
+    u = _uniform_angles(gen, size)
+    w = _positive_exponentials(gen, size)
+    shifted = alpha_prime * (u + np.pi / 2.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        expected = (np.sin(shifted) / np.cos(u) ** (1.0 / alpha_prime)
+                    * (np.cos(u - shifted) / w) ** ((1.0 - alpha_prime) / alpha_prime))
+    got = sample_skewed_positive_stable(alpha_prime, RngStream(19), size)
+    assert np.array_equal(got, expected, equal_nan=True)
+    if alpha_prime == 0.005 and size >= _BLOCK:
+        assert np.isinf(expected).any() and np.isnan(expected).any()
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.5, 2.0])
+def test_isotropic_blocks_are_the_one_block_draw_in_order(alpha):
+    # The same values and stream end state as one block; a consumer that
+    # stops early leaves the later Gaussian rows undrawn.
+    params, size = StableParams(alpha, 0.7), 2 * _BLOCK + 5
+    whole, blocked = RngStream(20), RngStream(20)
+    expected = sample_isotropic_stable(3, params, whole, size)
+    blocks = list(_isotropic_blocks(3, params, blocked, size, _BLOCK))
+    assert [len(b) for b in blocks] == [_BLOCK, _BLOCK, 5]
+    np.testing.assert_array_equal(np.concatenate(blocks), expected)
+    assert blocked.generator.bit_generator.state == whole.generator.bit_generator.state
+    stopped, reference = RngStream(20), RngStream(20)
+    next(_isotropic_blocks(3, params, stopped, size, _BLOCK))
+    if alpha != 2.0:
+        sample_skewed_positive_stable(alpha / 2.0, reference, size)
+    reference.generator.standard_normal((_BLOCK, 3))
+    assert stopped.generator.bit_generator.state == reference.generator.bit_generator.state
 
 
 def test_isotropic_rejects_bad_dimension():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from stableou import (
     sample_skewed_positive_stable,
     stationary_sample,
 )
+from stableou.sampling import _BLOCK
 from stableou.simulate import _driving_noise
 
 
@@ -252,6 +254,8 @@ def stepped_with_a_check(prob, cfg, stream):
                                                     noise_scale=1e298)),
         # A run that stays in range keeps every step.
         (make_problem(seed=9, n=40, d=4), SimConfig(eta=0.1, steps=500, alpha=1.5)),
+        # Its shocks are drawn and stepped in three blocks.
+        (make_problem(seed=9, n=40, d=2), SimConfig(eta=0.1, steps=2 * _BLOCK + 5, alpha=1.2)),
         # eta^(1/alpha) = 3^1000 is past float range, so every shock is infinite;
         # as a Python float it raised OverflowError.
         (QuadraticProblem(np.full(10, 0.05)), SimConfig(eta=3.0, steps=10, alpha=0.001)),
@@ -319,11 +323,10 @@ def test_a_singular_gram_matrix_does_not_mix(draw):
 @pytest.mark.parametrize("draw", [
     lambda: default_burn_in(OVERFLOWING, NOISY),
     lambda: StationaryCharFn(OVERFLOWING, 1.5),
-    lambda: StationaryCharFn(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1.5),
     lambda: empirical_stability_gap(OVERFLOWING_PAIR, [[1.0, 1.0]], 1.0, 2.0, NOISY, 200,
                                     RngStream(0)),
 ], ids=["default_burn_in-overflowing_X", "StationaryCharFn-overflowing_X",
-        "StationaryCharFn-nan_matrix", "empirical_stability_gap-overflowing_X_hat"])
+        "empirical_stability_gap-overflowing_X_hat"])
 def test_a_gram_matrix_with_nan_does_not_mix(draw):
     with pytest.raises(DegenerateDataError, match="eigenvalue is nan; the chain does not mix"):
         draw()
@@ -337,6 +340,19 @@ def test_data_with_nan_is_refused_by_the_rows_rule(build):
     # The mixing rule refused it only downstream, once a chain or law was asked for.
     with pytest.raises(ParameterError, match=r"^sample rows must be finite; entry \(1, 0\) is nan"):
         build(np.array([[1.0, 0.0], [np.nan, 1.0], [2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("A, entry", [
+    ([[1.0, np.nan], [np.nan, 1.0]], "(0, 1)"),
+    # It built, and exponent([1, 1]) spent 8,192 nodes on a nan estimate.
+    ([[1.0, 0.0], [0.0, np.nan]], "(1, 1)"),
+    # The mixing rule refused it as a matrix that does not mix.
+    ([[2.0, 1.0], [1.0, np.nan]], "(1, 1)"),
+], ids=["nan_matrix", "nan_diagonal", "nan_coupled"])
+def test_a_drift_matrix_with_nan_is_refused_by_the_rows_rule(A, entry):
+    with pytest.raises(ParameterError) as info:
+        StationaryCharFn(A, 1.5)
+    assert str(info.value) == f"sample rows must be finite; entry {entry} is nan"
 
 
 class TestStationarySample:
@@ -354,12 +370,46 @@ class TestStationarySample:
         out = stationary_sample(prob, cfg, RngStream(0), 0)
         assert out.shape == (0, prob.d)
 
-    def test_thinning_selects_expected_iterates(self):
-        prob = QuadraticProblem(np.ones(5))
-        cfg = SimConfig(eta=0.5, steps=60, alpha=1.5, noise_scale=1.0, burn_in=20)
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("alpha", [1.2, 2.0])
+    @pytest.mark.parametrize("steps, n_samples, thinning", [
+        (60, 4, 10),  # the last draw is the last step
+        (75, 4, 10),  # 15 steps are never run
+        (3 * _BLOCK, 900, 10),  # 9,020 steps in three blocks, the last one cut short
+    ])
+    def test_thinning_selects_expected_iterates(self, d, alpha, steps, n_samples, thinning):
+        # Gram eigenvalues spread over [1, 2] in a random basis.
+        q = np.linalg.qr(RngStream(2).generator.standard_normal((d, d)))[0]
+        prob = QuadraticProblem(np.sqrt(d * np.linspace(1.0, 2.0, d))[:, None] * q.T)
+        cfg = SimConfig(eta=0.5, steps=steps, alpha=alpha, noise_scale=1.0, burn_in=20)
         traj = euler_maruyama_run(prob, cfg, stream=RngStream(0))
-        got = stationary_sample(prob, cfg, RngStream(0), 4, thinning=10)
-        np.testing.assert_array_equal(got, traj.iterates[[30, 40, 50, 60]])
+        got = stationary_sample(prob, cfg, RngStream(0), n_samples, thinning=thinning)
+        steps_drawn = 20 + thinning * np.arange(1, n_samples + 1)
+        np.testing.assert_array_equal(got, traj.iterates[steps_drawn])
+
+    def test_memory_holds_the_draws_not_the_path(self):
+        # The 1.6 MB of draws and 3.3 MB blocks of shocks, the next drawn while the
+        # last is still held, fit in the bound; the 16 MB path does not. Holding
+        # the path and all its shocks traced 31.6 MB.
+        prob = QuadraticProblem(math.sqrt(100) * np.eye(100))
+        cfg = SimConfig(eta=0.1, steps=20000, alpha=1.5, noise_scale=1.0)
+        tracemalloc.start()
+        try:
+            stationary_sample(prob, cfg, RngStream(0), 2000, thinning=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_divergence_in_a_later_block_names_its_step(self):
+        prob = QuadraticProblem(np.ones(4))
+        cfg = SimConfig(eta=0.1, steps=12000, alpha=0.3, noise_scale=1e290, burn_in=100)
+        traj = euler_maruyama_run(prob, cfg, stream=RngStream(0))
+        assert traj.diverged and len(traj) - 1 == 5448 > _BLOCK
+        with pytest.raises(AccuracyError, match="overflowed after 5448 steps"):
+            stationary_sample(prob, cfg, RngStream(0), 54, thinning=100)
+        got = stationary_sample(prob, cfg, RngStream(0), 53, thinning=100)
+        np.testing.assert_array_equal(got, traj.iterates[100 + 100 * np.arange(1, 54)])
 
     def test_insufficient_steps_rejected(self):
         prob = make_problem()
