@@ -2,12 +2,13 @@
 
 Each subcommand reads a flat JSON config file, applies any flag overrides,
 runs, and writes a manifest.json capturing the resolved config so the run
-can be reproduced bit-exactly. `_DEFAULTS` is the one declaration of each
-subcommand's config keys and flags. A key maps to its default, or, when it
-has none, to its type: a bare type such as `float` marks a required key and
-`float | None` a key that may stay unset. A key outside the table is a hard
-error. Each key that is not a list is also a flag, `--key` with dashes for
-underscores (and in lower case too, so `--k1` sets `K1`).
+can be reproduced bit-exactly, and each output's sha256 and byte size.
+`_DEFAULTS` is the one declaration of each subcommand's config keys and
+flags. A key maps to its default, or, when it has none, to its type: a bare
+type such as `float` marks a required key and `float | None` a key that may
+stay unset. A key outside the table is a hard error. Each key that is not a
+list is also a flag, `--key` with dashes for underscores (and in lower case
+too, so `--k1` sets `K1`).
 `_resolve` types every value, flag or config, by one rule: a float key takes
 a number within float range, not nan or inf; an int key an integral number
 (so `40.0` is 40); a bool key only true or false, a str key only a string and
@@ -22,8 +23,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import math
+import os
 import sys
 import typing
 from pathlib import Path
@@ -163,15 +166,30 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _file_record(path: Path) -> dict:
+    """A written output's byte size and sha256, read in chunks."""
+    with open(path, "rb") as fh:
+        return {"bytes": os.fstat(fh.fileno()).st_size,
+                "sha256": hashlib.file_digest(fh, "sha256").hexdigest()}
+
+
 def _finish(out_dir: Path, command: str, cfg: dict, outputs: list[str], report=None) -> None:
-    """Prints the report, if any, and writes it to outputs[0]; then writes the manifest."""
+    """Prints the report, if any, and writes it to outputs[0]; then writes the manifest.
+
+    The manifest lists each output's sha256 and byte size under "files". It
+    is written to a temporary file in out_dir and renamed into place, so a
+    manifest.json is always whole.
+    """
     if report is not None:
         text = _dumps(report)
         print(text)
         _output(out_dir, outputs[0]).write_text(text + "\n")
     manifest = {"artifact_version": __version__, "subcommand": command, "config": cfg,
-                "outputs": sorted(outputs)}
-    _output(out_dir, "manifest.json").write_text(_dumps(manifest) + "\n")
+                "outputs": sorted(outputs),
+                "files": {name: _file_record(out_dir / name) for name in outputs}}
+    partial = out_dir / "manifest.json.tmp"
+    partial.write_text(_dumps(manifest) + "\n")
+    os.replace(partial, out_dir / "manifest.json")
 
 
 def _read_matrix_csv(path) -> np.ndarray:

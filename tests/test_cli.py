@@ -797,6 +797,22 @@ class TestConfigTable:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    @pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+    def test_manifest_hashes_match_the_outputs(self, command, tmp_path):
+        payload, flags = _replay_case(command, tmp_path)
+        config = []
+        if payload is not None:
+            config = ["--config", str(write_config(tmp_path, "c.json", payload))]
+        out = tmp_path / "out"
+        assert run_cli([command, *config, *flags, "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        assert sorted(manifest["files"]) == manifest["outputs"]
+        for name, record in manifest["files"].items():
+            data = (out / name).read_bytes()
+            assert record == {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}, name
+        # The manifest was renamed into place: no temporary file is left beside it.
+        assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *manifest["files"]])
+
     def test_every_flag_is_a_config_key(self):
         # ... and every config key but a list-valued one has a flag.
         parser = _build_parser()

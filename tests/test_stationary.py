@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import mpmath
@@ -7,6 +9,7 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from stableou import (
     AccuracyError,
@@ -152,6 +155,109 @@ def test_non_convergence_raises_with_estimate(monkeypatch):
     assert info.value.estimate is not None
     target = np.linalg.norm(np.ones(2)) ** 1.5 / 1.5
     assert info.value.estimate == pytest.approx(target, rel=1e-3)
+
+
+# leggauss(n) costs O(n^3) time and O(n^2) memory; cached, as the library caches it.
+gauss_nodes = functools.cache(leggauss)
+
+
+def plain_doubling_estimates(A, alpha, u):
+    """(n, estimate) for n = 64, 128, ..., 8192: one integrand pass per rule.
+
+    The quadrature rule as it stood before its first two rules shared a pass,
+    re-implemented here as the reference for bit-identity.
+    """
+    lam, q = np.linalg.eigh((A + A.T) / 2.0)
+    unorm = float(np.linalg.norm(u))
+    lam_min = float(lam[0])
+    horizon = math.log(max(unorm**alpha / (alpha * lam_min * 1e-10), 2.0)) / (alpha * lam_min)
+    w, half, n = q.T @ u, horizon / 2.0, 64
+    while n <= 8192:
+        nodes, weights = gauss_nodes(n)
+        decay = np.exp(-np.outer(half * (nodes + 1.0), lam)) * w[None, :]
+        yield n, half * float(weights @ np.einsum("ij,ij->i", decay, decay) ** (alpha / 2.0))
+        n *= 2
+
+
+def plain_doubling_exponent(A, alpha, u):
+    """The first estimate within 1e-9 relative (or 1e-12) of its predecessor, and its n."""
+    previous = None
+    for n, value in plain_doubling_estimates(A, alpha, u):
+        if previous is not None and abs(value - previous) <= max(1e-9 * abs(value), 1e-12):
+            return value, n
+        previous = value
+    raise AssertionError("the reference rule did not converge")
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.2, 1.5, 1.8, 2.0])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_exponent_is_bit_identical_to_plain_doubling(d, alpha):
+    # Spectra log-spaced over kappa in {1, 1e2, 1e3} in a random rotation;
+    # kappa >= 1e2 needs 256 to 2,048 nodes, so the doubling after the paired
+    # 64/128 pass runs too.
+    gen = RngStream(1000 * d + int(10 * alpha)).generator
+    used = set()
+    for kappa in (1.0, 1e2, 1e3):
+        q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+        A = (q * (0.5 * kappa ** np.linspace(0.0, 1.0, d))) @ q.T
+        sc = StationaryCharFn(A, alpha)
+        for _ in range(3):
+            u = gen.standard_normal(d) * gen.uniform(0.2, 3.0)
+            value, n = plain_doubling_exponent(A, alpha, u)
+            assert repr(sc.exponent(u)) == repr(value)
+            used.add(n)
+    assert max(used) >= (256 if d > 1 else 128)
+
+
+def test_capped_at_128_nodes_raises_with_the_128_node_estimate(monkeypatch):
+    # The 64- and 128-node rules share one pass; when they disagree and no
+    # further rule is allowed, the error carries the 128-node estimate.
+    monkeypatch.setattr("stableou.stationary._MAX_NODES", 128)
+    A, u = np.diag([1.0, 1e3]), np.ones(2)
+    estimates = dict(itertools.islice(plain_doubling_estimates(A, 1.5, u), 2))
+    assert abs(estimates[128] - estimates[64]) > 1e-9 * abs(estimates[128])
+    with pytest.raises(AccuracyError, match="within 128 nodes") as info:
+        StationaryCharFn(A, 1.5).exponent(u)
+    assert repr(info.value.estimate) == repr(estimates[128])
+
+
+@pytest.mark.parametrize("A, nodes_per_pass", [
+    (np.eye(2), [192]),  # the 64- and 128-node rules agree
+    (np.diag([1.0, 30.0]), [192, 256]),  # 256 nodes agree with 128
+])
+def test_integrand_passes(monkeypatch, A, nodes_per_pass):
+    passes = []
+    integrand = StationaryCharFn._integrand
+
+    def counting(self, s, w):
+        passes.append(s.size)
+        return integrand(self, s, w)
+
+    monkeypatch.setattr(StationaryCharFn, "_integrand", counting)
+    StationaryCharFn(A, 1.5).exponent(np.ones(2))
+    assert passes == nodes_per_pass
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "open: the horizon follows lambda_min, so once kappa reaches about 1e4 two rules "
+    "agree on a value that misses the e^(-lambda_max s) component (ROADMAP direction 15)"))
+@pytest.mark.parametrize("kappa", [1e4, 1e6])
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_spread_out_spectrum_matches_closed_forms(alpha, kappa):
+    # Drift diag(1, kappa) and u = (0, 0.1) along the fast eigenvector. Closed
+    # forms, independent of the quadrature: |w|^alpha / (alpha lambda) along
+    # an eigenvector, and sum_i w_i^2 / (2 lambda_i) at alpha = 2. Tolerance
+    # 1e-9 relative, fixed before the first run. At kappa = 1e6 the exponent
+    # is 0.0; at kappa = 1e4 it converges at 2,048 nodes, about 1e-8 off. With
+    # u = (0, 1) it fails alike but needs 4,096-8,192 nodes, whose leggauss
+    # alone takes 6-50 s and 0.3-1 GB.
+    lam, u = np.array([1.0, kappa]), np.array([0.0, 0.1])
+    if alpha == 2.0:
+        exact = float(np.sum(u**2 / (2.0 * lam)))
+    else:
+        exact = abs(u[1]) ** alpha / (alpha * kappa)
+    value = StationaryCharFn(np.diag(lam), alpha).exponent(u)
+    assert abs(value - exact) <= 1e-9 * exact  # no absolute floor: exact is 5e-9 to 2e-6
 
 
 class TestNeighborPair:
