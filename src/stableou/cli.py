@@ -150,14 +150,14 @@ def _from_config(cls, cfg: dict):
 def _output(out_dir: Path, name: str) -> Path:
     """out_dir / name, creating out_dir on the first write.
 
-    Every output goes through here, so an input a handler rejects leaves no
-    directory, and an older run's outputs stay untouched. Any output but the
-    manifest first removes an older manifest.json: the manifest is written
-    last, so a run that stops part way leaves none beside its outputs.
+    Every output but the manifest goes through here, so an input a handler
+    rejects leaves no directory, and an older run's outputs stay untouched.
+    Each output first removes an older manifest.json: _finish writes the
+    manifest itself, last, so a run that stops part way leaves none beside
+    its outputs.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    if name != "manifest.json":
-        (out_dir / "manifest.json").unlink(missing_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     return out_dir / name
 
 
@@ -168,17 +168,20 @@ def _dumps(obj) -> str:
 
 def _file_record(path: Path) -> dict:
     """A written output's byte size and sha256, read in chunks."""
+    digest, size = hashlib.sha256(), 0
     with open(path, "rb") as fh:
-        return {"bytes": os.fstat(fh.fileno()).st_size,
-                "sha256": hashlib.file_digest(fh, "sha256").hexdigest()}
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+            size += len(chunk)
+    return {"bytes": size, "sha256": digest.hexdigest()}
 
 
 def _finish(out_dir: Path, command: str, cfg: dict, outputs: list[str], report=None) -> None:
     """Prints the report, if any, and writes it to outputs[0]; then writes the manifest.
 
     The manifest lists each output's sha256 and byte size under "files". It
-    is written to a temporary file in out_dir and renamed into place, so a
-    manifest.json is always whole.
+    is written to a temporary file in out_dir, flushed to disk and renamed
+    into place, so a manifest.json is always whole.
     """
     if report is not None:
         text = _dumps(report)
@@ -188,7 +191,10 @@ def _finish(out_dir: Path, command: str, cfg: dict, outputs: list[str], report=N
                 "outputs": sorted(outputs),
                 "files": {name: _file_record(out_dir / name) for name in outputs}}
     partial = out_dir / "manifest.json.tmp"
-    partial.write_text(_dumps(manifest) + "\n")
+    with open(partial, "w") as fh:
+        fh.write(_dumps(manifest) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(partial, out_dir / "manifest.json")
 
 

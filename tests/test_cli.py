@@ -28,7 +28,9 @@ from stableou import (
     sample_sas_scalar,
 )
 from stableou.bounds import BoundInputs
-from stableou.cli import _DEFAULTS, _HANDLERS, _build_parser, _key_type, _output, _typed, run_cli
+from stableou.cli import (
+    _DEFAULTS, _HANDLERS, _build_parser, _file_record, _key_type, _output, _typed, run_cli,
+)
 from stableou.experiments import SweepConfig
 
 
@@ -812,6 +814,13 @@ class TestConfigTable:
             assert record == {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}, name
         # The manifest was renamed into place: no temporary file is left beside it.
         assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *manifest["files"]])
+
+    def test_file_record_reads_across_chunk_boundaries(self, tmp_path):
+        # Larger than one 1 MiB read, so the digest is fed in several chunks.
+        data = np.random.default_rng(0).bytes((1 << 20) * 2 + 7)
+        (tmp_path / "big.bin").write_bytes(data)
+        assert _file_record(tmp_path / "big.bin") == {
+            "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
     def test_every_flag_is_a_config_key(self):
         # ... and every config key but a list-valued one has a flag.
