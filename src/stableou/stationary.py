@@ -5,10 +5,14 @@ positive definite) under isotropic unit-scale noise is
 
     psi(u) = exp( - integral_0^inf || exp(-s A) u ||_2^alpha ds )
 
-evaluated here by diagonalizing A once and applying adaptive
-Gauss-Legendre quadrature on a truncated horizon. The module also carries
-the closed-form neighbor-dataset bounds on |psi - psi_hat| and the exact
-stability gap that the two stationary laws give a neighbour pair.
+evaluated here by diagonalizing A once. Two cases have a closed form, exact
+to rounding: at alpha = 2 the exponent is u^T A^-1 u / 2, and in one
+dimension it is |u|^alpha / (alpha lambda). Otherwise (alpha < 2, d >= 2)
+adaptive Gauss-Legendre quadrature on a truncated horizon gives it to about
+1e-9 relative, until lambda_max / lambda_min reaches about 1e4, where it can
+converge to a wrong value. The module also carries the closed-form
+neighbor-dataset bounds on |psi - psi_hat| and the exact stability gap that
+the two stationary laws give a neighbour pair.
 """
 
 from __future__ import annotations
@@ -94,7 +98,24 @@ class StationaryCharFn:
             n *= 2
 
     def exponent(self, u) -> float:
-        """The integral in the exponent of psi(u), to ~1e-9 relative accuracy.
+        """The integral in the exponent of psi(u).
+
+        The inputs choose the path. At alpha = 2 it is sum_i w_i^2 / (2 lambda_i)
+        with w = Q^T u, that is u^T A^-1 u / 2, and in one dimension it is
+        |u|^alpha / (alpha lambda); both are exact to rounding. At alpha < 2
+        and d >= 2 it is _quadrature's value, to ~1e-9 relative accuracy
+        while kappa = lambda_max / lambda_min stays below about 1e4.
+        """
+        u = vector(u, self.d)
+        if self.d == 1:
+            return abs(float(u[0])) ** self.alpha / (self.alpha * float(self.eigenvalues[0]))
+        if self.alpha == 2.0:
+            w = self._q.T @ u
+            return float(w @ (w / (2.0 * self.eigenvalues)))
+        return self._quadrature(u)
+
+    def _quadrature(self, u: np.ndarray) -> float:
+        """The exponent at the vector u by quadrature, to ~1e-9 relative accuracy.
 
         Gauss-Legendre rules on [0, horizon], the horizon set by the smallest
         eigenvalue's analytic tail: the 64- and 128-node rules in one integrand
@@ -104,9 +125,9 @@ class StationaryCharFn:
         kappa = lambda_max / lambda_min reaches about 1e4, no rule resolves the
         fast e^(-lambda_max s) components, so two rules can agree on a wrong
         value with no error (tests/test_stationary.py,
-        test_spread_out_spectrum_matches_closed_forms, a strict xfail).
+        test_spread_out_spectrum_matches_closed_forms, a strict xfail at
+        alpha < 2). exponent runs this only at alpha < 2 and d >= 2.
         """
-        u = vector(u, self.d)
         unorm = math.sqrt(u @ u)
         if unorm == 0.0:
             return 0.0
@@ -203,7 +224,7 @@ def char_fn_diff_bound_dd(pair: NeighborPair, alpha: float, u) -> float:
 
 
 def char_fn_diff_exact(pair: NeighborPair, alpha: float, u) -> float:
-    """|psi(u) - psi_hat(u)| by quadrature on both isotropically driven stationary laws."""
+    """|psi(u) - psi_hat(u)| from both isotropically driven stationary laws' exponents."""
     sc = StationaryCharFn(pair.problem, alpha)
     sc_hat = StationaryCharFn(pair.problem_hat, alpha)
     return abs(sc.evaluate(u) - sc_hat.evaluate(u))
