@@ -8,11 +8,10 @@ positive definite) under isotropic unit-scale noise is
 evaluated here by diagonalizing A once. Two cases have a closed form, exact
 to rounding: at alpha = 2 the exponent is u^T A^-1 u / 2, and in one
 dimension it is |u|^alpha / (alpha lambda). Otherwise (alpha < 2, d >= 2)
-adaptive Gauss-Legendre quadrature on a truncated horizon gives it to about
-1e-9 relative, until lambda_max / lambda_min reaches about 1e4, where it can
-converge to a wrong value. The module also carries the closed-form
-neighbor-dataset bounds on |psi - psi_hat| and the exact stability gap that
-the two stationary laws give a neighbour pair.
+adaptive Gauss-Legendre quadrature in log time gives it to about 1e-9
+relative, whatever the spread lambda_max / lambda_min. The module also
+carries the closed-form neighbor-dataset bounds on |psi - psi_hat| and the
+exact stability gap that the two stationary laws give a neighbour pair.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ from .sampling import sas_abs_moment
 from .simulate import QuadraticProblem, require_mixing
 
 # Quadrature settings: the node count doubles from _INITIAL_NODES until two
-# successive estimates agree to _REL_TOL (or _ABS_TOL), or fails past
-# _MAX_NODES; the horizon cuts the integral's analytic tail at _TAIL_TOL.
+# successive estimates agree to _REL_TOL, or fails past _MAX_NODES; the
+# integral's head and tail each cost at most about _TAIL_TOL relative.
 _INITIAL_NODES = 64
 _MAX_NODES = 8192
 _TAIL_TOL = 1e-10
 _REL_TOL = 1e-9
-_ABS_TOL = 1e-12
 
 _gauss_nodes = functools.cache(leggauss)
 
@@ -79,77 +77,75 @@ class StationaryCharFn:
         self._q = q
         self.d = lam.shape[0]
 
-    def _integrand(self, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-        decay = np.exp(-s[:, None] * self.eigenvalues) * w
-        return np.einsum("ij,ij->i", decay, decay) ** (self.alpha / 2.0)
+    def _integrand(self, t: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """s ||exp(-s A) w||^alpha at s = e^t, the integrand in log time; w2 holds w_i^2."""
+        s = np.exp(t)
+        return (np.exp(s[:, None] * (-2.0 * self.eigenvalues)) @ w2) ** (self.alpha / 2.0) * s
 
-    def _estimates(self, half: float, w: np.ndarray):
+    def _estimates(self, lo: float, half: float, w2: np.ndarray):
         """Estimates at _INITIAL_NODES, doubling up to _MAX_NODES; the first two share a pass."""
         n = _INITIAL_NODES
         if 2 * n <= _MAX_NODES:
             shifted, first, second = _paired_rule(n)
-            f = self._integrand(half * shifted, w)
+            f = self._integrand(lo + half * shifted, w2)
             yield half * float(first @ f[:n])
             yield half * float(second @ f[n:])
             n *= 4
         while n <= _MAX_NODES:
             nodes, weights = _gauss_nodes(n)
-            yield half * float(weights @ self._integrand(half * (nodes + 1.0), w))
+            yield half * float(weights @ self._integrand(lo + half * (nodes + 1.0), w2))
             n *= 2
 
     def exponent(self, u) -> float:
         """The integral in the exponent of psi(u).
 
-        The inputs choose the path. At alpha = 2 it is sum_i w_i^2 / (2 lambda_i)
-        with w = Q^T u, that is u^T A^-1 u / 2, and in one dimension it is
-        |u|^alpha / (alpha lambda); both are exact to rounding. At alpha < 2
-        and d >= 2 it is _quadrature's value, to ~1e-9 relative accuracy
-        while kappa = lambda_max / lambda_min stays below about 1e4.
+        It is ||u||^alpha times the integral at the unit vector w = Q^T u / ||u||
+        in the eigenbasis. In one dimension that integral is 1 / (alpha lambda),
+        and at alpha = 2 it is sum_i w_i^2 / (2 lambda_i), so the exponent is
+        u^T A^-1 u / 2; both are exact to rounding. Otherwise _quadrature gives
+        it to ~1e-9 relative accuracy. A frequency whose ||u||^alpha exceeds
+        the float range gives +inf, so evaluate gives 0.0.
         """
         u = vector(u, self.d)
+        norm = math.hypot(*u)
+        try:
+            lead = norm**self.alpha
+        except OverflowError:
+            lead = math.inf
+        if lead in (0.0, math.inf):
+            return lead
         if self.d == 1:
-            return abs(float(u[0])) ** self.alpha / (self.alpha * float(self.eigenvalues[0]))
+            return lead / (self.alpha * float(self.eigenvalues[0]))
+        w2 = (self._q.T @ (u / norm)) ** 2
         if self.alpha == 2.0:
-            w = self._q.T @ u
-            return float(w @ (w / (2.0 * self.eigenvalues)))
-        return self._quadrature(u)
+            return lead * float(w2 @ (0.5 / self.eigenvalues))
+        return self._quadrature(w2, lead)
 
-    def _quadrature(self, u: np.ndarray) -> float:
-        """The exponent at the vector u by quadrature, to ~1e-9 relative accuracy.
+    def _quadrature(self, w2: np.ndarray, lead: float) -> float:
+        """lead times the exponent at the unit vector w with w_i^2 = w2_i, to ~1e-9 relative.
 
-        Gauss-Legendre rules on [0, horizon], the horizon set by the smallest
-        eigenvalue's analytic tail: the 64- and 128-node rules in one integrand
-        pass, then 256 nodes, 512 and so on, one pass each, up to _MAX_NODES.
-        The first two successive estimates that agree give the value; none
-        agreeing is an AccuracyError carrying the last estimate. Once
-        kappa = lambda_max / lambda_min reaches about 1e4, no rule resolves the
-        fast e^(-lambda_max s) components, so two rules can agree on a wrong
-        value with no error (tests/test_stationary.py,
-        test_spread_out_spectrum_matches_closed_forms, a strict xfail at
-        alpha < 2). exponent runs this only at alpha < 2 and d >= 2.
+        Gauss-Legendre rules in t = log s on [s0, s1]: the 64- and 128-node
+        rules in one integrand pass, then 256 nodes, 512 and so on up to
+        _MAX_NODES. The first two successive estimates that agree give the
+        value; none agreeing is an AccuracyError carrying the last estimate.
+        Both cuts are relative to the lower bound 1 / (alpha lambda_max). The
+        integrand lies in [exp(-alpha lambda_max s), 1], so the head up to
+        s0 = sqrt(_TAIL_TOL) / lambda_max is s0 to alpha^2 _TAIL_TOL / 2, and
+        the tail past s1 = log(kappa / _TAIL_TOL) / (alpha lambda_min) is below _TAIL_TOL.
         """
-        unorm = math.sqrt(u @ u)
-        if unorm == 0.0:
-            return 0.0
-
-        alpha = self.alpha
-        lam_min = float(self.eigenvalues[0])
-        # Horizon from the analytic tail bound
-        # integral_T^inf (||u|| e^{-lam_min s})^alpha ds < _TAIL_TOL.
-        lead = unorm**alpha
-        horizon = math.log(max(lead / (alpha * lam_min * _TAIL_TOL), 2.0)) / (alpha * lam_min)
-
+        lam_min, lam_max = float(self.eigenvalues[0]), float(self.eigenvalues[-1])
+        head = math.sqrt(_TAIL_TOL) / lam_max
+        lo = math.log(head)
+        hi = math.log(math.log(lam_max / (lam_min * _TAIL_TOL)) / (self.alpha * lam_min))
         previous = None
-        for value in self._estimates(horizon / 2.0, self._q.T @ u):
-            if previous is not None and abs(value - previous) <= max(
-                _REL_TOL * abs(value), _ABS_TOL
-            ):
-                return value
+        for value in self._estimates(lo, (hi - lo) / 2.0, w2):
+            if previous is not None and abs(value - previous) <= _REL_TOL * value:
+                return lead * (head + value)
             previous = value
         raise AccuracyError(
             f"quadrature did not converge within {_MAX_NODES} nodes "
-            f"(best estimate {previous:.12g})",
-            estimate=previous,
+            f"(best estimate {lead * (head + previous):.12g})",
+            estimate=lead * (head + previous),
         )
 
     def evaluate(self, u) -> float:

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 
@@ -148,115 +147,69 @@ class TestShapeInvariants:
 def test_non_convergence_raises_with_estimate(monkeypatch):
     # A single quadrature pass cannot certify convergence, so capping the
     # node budget at the initial count must fail with the estimate attached.
+    # Along the fast eigenvector of diag(1, 1e6) the exponent is
+    # |u|^alpha / (alpha lambda_max), and 64 nodes already come close.
     monkeypatch.setattr("stableou.stationary._MAX_NODES", 64)
-    sc = StationaryCharFn(np.eye(2), 1.5)
-    with pytest.raises(AccuracyError) as info:
-        sc.exponent(np.ones(2))
-    assert info.value.estimate is not None
-    target = np.linalg.norm(np.ones(2)) ** 1.5 / 1.5
+    sc = StationaryCharFn(np.diag([1.0, 1e6]), 1.5)
+    with pytest.raises(AccuracyError, match="within 64 nodes") as info:
+        sc.exponent([0.0, 2.0])
+    target = 2.0**1.5 / (1.5 * 1e6)
     assert info.value.estimate == pytest.approx(target, rel=1e-3)
 
 
-# leggauss(n) costs O(n^3) time and O(n^2) memory; cached, as the library caches it.
-gauss_nodes = functools.cache(leggauss)
+def log_time_estimate(lam, alpha, w, n):
+    """The rule's n-node estimate at the unit vector w, for spectrum lam.
 
-
-def plain_doubling_estimates(A, alpha, u):
-    """(n, estimate) for n = 64, 128, ..., 8192: one integrand pass per rule.
-
-    The quadrature rule as it stood before its first two rules shared a pass,
-    re-implemented here as the reference for bit-identity.
+    The head s0 = 1e-5 / lambda_max, plus n-node Gauss-Legendre in t = log s
+    on [s0, s1] with s1 = log(1e10 kappa) / (alpha lambda_min).
     """
-    lam, q = np.linalg.eigh((A + A.T) / 2.0)
-    unorm = float(np.linalg.norm(u))
-    lam_min = float(lam[0])
-    horizon = math.log(max(unorm**alpha / (alpha * lam_min * 1e-10), 2.0)) / (alpha * lam_min)
-    w, half, n = q.T @ u, horizon / 2.0, 64
-    while n <= 8192:
-        nodes, weights = gauss_nodes(n)
-        decay = np.exp(-np.outer(half * (nodes + 1.0), lam)) * w[None, :]
-        yield n, half * float(weights @ np.einsum("ij,ij->i", decay, decay) ** (alpha / 2.0))
-        n *= 2
-
-
-def plain_doubling_exponent(A, alpha, u):
-    """The first estimate within 1e-9 relative (or 1e-12) of its predecessor, and its n."""
-    previous = None
-    for n, value in plain_doubling_estimates(A, alpha, u):
-        if previous is not None and abs(value - previous) <= max(1e-9 * abs(value), 1e-12):
-            return value, n
-        previous = value
-    raise AssertionError("the reference rule did not converge")
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.2, 1.5, 1.8, 2.0])
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_exponent_is_bit_identical_to_plain_doubling(d, alpha):
-    # Spectra log-spaced over kappa in {1, 1e2, 1e3} in a random rotation;
-    # kappa >= 1e2 needs 256 to 2,048 nodes, so the doubling after the paired
-    # 64/128 pass runs too. exponent takes a closed form at alpha = 2 and at
-    # d = 1, so the rule is pinned through _quadrature at every (d, alpha).
-    gen = RngStream(1000 * d + int(10 * alpha)).generator
-    used = set()
-    for kappa in (1.0, 1e2, 1e3):
-        q, _ = np.linalg.qr(gen.standard_normal((d, d)))
-        A = (q * (0.5 * kappa ** np.linspace(0.0, 1.0, d))) @ q.T
-        sc = StationaryCharFn(A, alpha)
-        for _ in range(3):
-            u = gen.standard_normal(d) * gen.uniform(0.2, 3.0)
-            value, n = plain_doubling_exponent(A, alpha, u)
-            assert repr(sc._quadrature(u)) == repr(value)
-            used.add(n)
-    assert max(used) >= (256 if d > 1 else 128)
+    s0 = 1e-5 / lam[-1]
+    s1 = math.log(1e10 * lam[-1] / lam[0]) / (alpha * lam[0])
+    half = (math.log(s1) - math.log(s0)) / 2.0
+    nodes, weights = leggauss(n)
+    s = s0 * np.exp(half * (nodes + 1.0))
+    f = np.linalg.norm(np.exp(-np.outer(s, lam)) * w, axis=1) ** alpha * s
+    return s0 + half * float(weights @ f)
 
 
 def test_capped_at_128_nodes_raises_with_the_128_node_estimate(monkeypatch):
     # The 64- and 128-node rules share one pass; when they disagree and no
-    # further rule is allowed, the error carries the 128-node estimate.
+    # further rule is allowed, the error carries the 128-node estimate. At
+    # alpha = 0.1 along the fast eigenvector the two rules disagree.
     monkeypatch.setattr("stableou.stationary._MAX_NODES", 128)
-    A, u = np.diag([1.0, 1e3]), np.ones(2)
-    estimates = dict(itertools.islice(plain_doubling_estimates(A, 1.5, u), 2))
-    assert abs(estimates[128] - estimates[64]) > 1e-9 * abs(estimates[128])
+    lam, u, alpha = np.array([1.0, 1e3]), np.array([0.0, 2.0]), 0.1
+    first, second = (log_time_estimate(lam, alpha, u / 2.0, n) for n in (64, 128))
+    assert abs(second - first) > 1e-9 * second
     with pytest.raises(AccuracyError, match="within 128 nodes") as info:
-        StationaryCharFn(A, 1.5).exponent(u)
-    assert repr(info.value.estimate) == repr(estimates[128])
+        StationaryCharFn(np.diag(lam), alpha).exponent(u)
+    assert info.value.estimate == pytest.approx(2.0**alpha * second, rel=1e-12)
 
 
-@pytest.mark.parametrize("A, nodes_per_pass", [
-    (np.eye(2), [192]),  # the 64- and 128-node rules agree
-    (np.diag([1.0, 30.0]), [192, 256]),  # 256 nodes agree with 128
+@pytest.mark.parametrize("A, u, nodes_per_pass", [
+    (np.eye(2), np.ones(2), [192]),  # the 64- and 128-node rules agree
+    (np.diag([1.0, 1e3]), np.ones(2), [192]),  # on a spread spectrum too
+    (np.diag([1.0, 1e3]), np.array([0.0, 1.0]), [192, 256]),  # 256 nodes agree with 128
 ])
-def test_integrand_passes(monkeypatch, A, nodes_per_pass):
+def test_integrand_passes(monkeypatch, A, u, nodes_per_pass):
     passes = []
     integrand = StationaryCharFn._integrand
 
-    def counting(self, s, w):
-        passes.append(s.size)
-        return integrand(self, s, w)
+    def counting(self, t, w2):
+        passes.append(t.size)
+        return integrand(self, t, w2)
 
     monkeypatch.setattr(StationaryCharFn, "_integrand", counting)
-    StationaryCharFn(A, 1.5).exponent(np.ones(2))
+    StationaryCharFn(A, 1.5).exponent(u)
     assert passes == nodes_per_pass
 
 
-QUADRATURE_MISSES_FAST_COMPONENT = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "open: the horizon follows lambda_min, so once kappa reaches about 1e4 two rules "
-    "agree on a value that misses the e^(-lambda_max s) component (ROADMAP direction 15)"))
-
-
 @pytest.mark.parametrize("kappa", [1e4, 1e6])
-@pytest.mark.parametrize("alpha", [
-    pytest.param(1.5, marks=QUADRATURE_MISSES_FAST_COMPONENT),
-    2.0,  # the closed form u^T A^-1 u / 2, no quadrature
-])
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
 def test_spread_out_spectrum_matches_closed_forms(alpha, kappa):
     # Drift diag(1, kappa) and u = (0, 0.1) along the fast eigenvector. Closed
     # forms, independent of the quadrature: |w|^alpha / (alpha lambda) along
     # an eigenvector, and sum_i w_i^2 / (2 lambda_i) at alpha = 2. Tolerance
-    # 1e-9 relative, fixed before the first run. At alpha = 1.5 the quadrature
-    # gives 0.0 at kappa = 1e6, and at kappa = 1e4 it converges at 2,048 nodes,
-    # about 1e-8 off. With u = (0, 1) it fails alike but needs 4,096-8,192
-    # nodes, whose leggauss alone takes 6-50 s and 0.3-1 GB.
+    # 1e-9 relative, fixed before the first run.
     lam, u = np.array([1.0, kappa]), np.array([0.0, 0.1])
     if alpha == 2.0:
         exact = float(np.sum(u**2 / (2.0 * lam)))
@@ -264,6 +217,78 @@ def test_spread_out_spectrum_matches_closed_forms(alpha, kappa):
         exact = abs(u[1]) ** alpha / (alpha * kappa)
     value = StationaryCharFn(np.diag(lam), alpha).exponent(u)
     assert abs(value - exact) <= 1e-9 * exact  # no absolute floor: exact is 5e-9 to 2e-6
+
+
+SPREAD_ALPHAS = [0.5, 1.2, 1.8]
+SPREAD_KAPPAS = [1e2, 1e4, 1e6, 1e8]
+
+
+@pytest.mark.parametrize("kappa", SPREAD_KAPPAS)
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("alpha", SPREAD_ALPHAS)
+def test_eigenvectors_match_the_closed_form(alpha, d, kappa):
+    # Spectrum log-spaced on [1, kappa] on the diagonal, so that eigh returns
+    # the unit vectors exactly; a rotation leaves eps-sized components on the
+    # slow eigenvectors, which at alpha = 0.5 outweigh the fast one. Along
+    # eigenvector i the exponent is |c|^alpha / (alpha lambda_i). Tolerance
+    # 1e-9 relative, fixed before the first run.
+    lam = kappa ** np.linspace(0.0, 1.0, d)
+    sc = StationaryCharFn(np.diag(lam), alpha)
+    for i, c in itertools.product(range(d), (0.1, -3.0)):
+        want = abs(c) ** alpha / (alpha * lam[i])
+        assert abs(sc.exponent(c * np.eye(d)[i]) - want) <= 1e-9 * want
+
+
+def mpmath_exponent(lam, alpha, w):
+    """integral_0^inf (sum_i w_i^2 e^(-2 lambda_i s))^(alpha / 2) ds, broken at 1 / lambda_i."""
+    lam = [mpmath.mpf(float(x)) for x in lam]
+    w = [mpmath.mpf(float(x)) for x in w]
+    a = mpmath.mpf(alpha) / 2
+
+    def f(s):
+        return mpmath.fsum((wi * mpmath.exp(-li * s)) ** 2 for wi, li in zip(w, lam)) ** a
+
+    return mpmath.quad(f, [0] + sorted(1 / x for x in lam) + [mpmath.inf])
+
+
+@pytest.mark.parametrize("kappa", SPREAD_KAPPAS)
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("alpha", SPREAD_ALPHAS)
+def test_mixed_frequencies_match_mpmath(alpha, d, kappa):
+    # Every component of u nonzero, on the diagonal spectrum above. Tolerance
+    # 1e-9 relative, fixed before the first run.
+    gen = RngStream(3300 + d).generator
+    lam = kappa ** np.linspace(0.0, 1.0, d)
+    sc = StationaryCharFn(np.diag(lam), alpha)
+    for _ in range(2):
+        u = gen.standard_normal(d) * gen.uniform(0.2, 3.0)
+        with mpmath.workdps(30):
+            want = mpmath_exponent(lam, alpha, u)
+            assert abs(sc.exponent(u) - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("A, alpha, u", [
+    (2.0, 1.5, 1e250),
+    (np.eye(2), 2.0, [1e200, 0.0]),
+    (np.diag([1.0, 2.0]), 1.5, [6e249, 8e249]),
+    (np.eye(2), 2.0, [1.5e308, 1.5e308]),  # ||u|| itself overflows
+    (np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.5, [1.7e308, 1.7e308]),  # and so does Q^T u
+])
+def test_huge_frequency_gives_zero(A, alpha, u):
+    # ||w||^alpha past the float range: +inf on every path, with no
+    # OverflowError and no RuntimeWarning.
+    sc = StationaryCharFn(A, alpha)
+    assert sc.exponent(u) == math.inf
+    assert sc.evaluate(u) == 0.0
+
+
+def test_huge_frequency_scales_the_unit_exponent():
+    # ||u|| = 1e200 at alpha = 1.5: ||u||^alpha = 1e300 is finite, and the
+    # quadrature runs on the unit vector, so no node sees an overflow.
+    sc = StationaryCharFn(np.diag([1.0, 2.0]), 1.5)
+    u = np.array([0.6, 0.8])
+    assert sc.exponent(1e200 * u) == pytest.approx(1e300 * sc.exponent(u), rel=1e-12)
+    assert sc.evaluate(1e200 * u) == 0.0
 
 
 EPS = np.finfo(float).eps
@@ -283,8 +308,7 @@ def form_rel_tol(d, kappa):
 @pytest.mark.parametrize("d", [2, 5])
 def test_alpha_two_matches_the_solve_oracle(d, kappa):
     # Spectrum log-spaced on [1, kappa] in a random rotation. The probes are
-    # the fast eigenvector, whose e^(-kappa s) component the quadrature misses,
-    # and random vectors.
+    # the fast eigenvector and random vectors.
     gen = RngStream(3000 + d).generator
     q, _ = np.linalg.qr(gen.standard_normal((d, d)))
     A = (q * kappa ** np.linspace(0.0, 1.0, d)) @ q.T
@@ -307,21 +331,27 @@ def test_one_dimension_matches_the_closed_form_to_rounding(alpha, lam):
             assert abs(sc.exponent(u) - want) <= 4 * EPS * want
 
 
-def test_ordinary_data_at_alpha_two_matches_closed_forms():
-    # n = 200 rows of two uniform features with scales 1 and 100, so kappa is
-    # about 1e4, and row 0 redrawn in X_hat. At alpha = 2 the law is Gaussian:
-    # theta^T z ~ N(0, z^T A^-1 z), so E|theta^T z| = sqrt(2 z^T A^-1 z / pi)
-    # and E|theta^T z|^2 = z^T A^-1 z.
+ORDINARY_PROBES = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.3, -2.0], [-1.5, 0.02]])
+
+
+def ordinary_data():
+    """n = 200 rows of two uniform features with scales 1 and 100, so kappa is
+    about 1e4, and row 0 redrawn in X_hat: the pair and its two Gram matrices."""
     gen = RngStream(3100).generator
     X = gen.uniform(-1.0, 1.0, (200, 2)) * [1.0, 100.0]
     X_hat = X.copy()
     X_hat[0] = gen.uniform(-1.0, 1.0, 2) * [1.0, 100.0]
-    pair = NeighborPair(X, X_hat)
     grams = [M.T @ M / M.shape[0] for M in (X, X_hat)]
-    kappa = max(np.linalg.cond(G) for G in grams)
-    assert kappa > 1e3
-    rel = form_rel_tol(2, kappa)
-    probes = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.3, -2.0], [-1.5, 0.02]])
+    assert max(np.linalg.cond(G) for G in grams) > 1e3
+    return NeighborPair(X, X_hat), grams
+
+
+def test_ordinary_data_at_alpha_two_matches_closed_forms():
+    # At alpha = 2 the law is Gaussian: theta^T z ~ N(0, z^T A^-1 z), so
+    # E|theta^T z| = sqrt(2 z^T A^-1 z / pi) and E|theta^T z|^2 = z^T A^-1 z.
+    pair, grams = ordinary_data()
+    rel = form_rel_tol(2, max(np.linalg.cond(G) for G in grams))
+    probes = ORDINARY_PROBES
     forms = np.array([[z @ np.linalg.solve(G, z) for G in grams] for z in probes])
     for z, (f, f_hat) in zip(probes, forms):
         want = abs(math.exp(-f / 2.0) - math.exp(-f_hat / 2.0))
@@ -332,6 +362,31 @@ def test_ordinary_data_at_alpha_two_matches_closed_forms():
         want = float(np.max(np.abs(moments[:, 0] - moments[:, 1])))
         got = exact_stability_gap(pair, probes, p, 2.0)
         assert abs(got - want) <= (rel + 16 * EPS) * float(np.max(moments))
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_ordinary_data_matches_mpmath(alpha):
+    # The pair above at alpha < 2, probe by probe. Each Gram matrix is
+    # diagonalised by mpmath and each exponent integrated by mpmath.quad; the
+    # moment is E|theta^T z| = sigma 2 Gamma(1 - 1/alpha) / pi with
+    # sigma = exponent^(1/alpha). Tolerances fixed before the first run: each
+    # exponent within 1e-9 relative moves each psi by at most 1e-9 times the
+    # larger exponent, and each moment by at most 1e-9 of itself.
+    pair, grams = ordinary_data()
+    with mpmath.workdps(30):
+        exponents = []
+        for G in grams:
+            lam, Q = mpmath.eigsy(mpmath.matrix(G.tolist()))
+            exponents.append([mpmath_exponent(lam, alpha, Q.T * mpmath.matrix(z.tolist()))
+                              for z in ORDINARY_PROBES])
+        for z, f, f_hat in zip(ORDINARY_PROBES, *exponents):
+            want = abs(mpmath.exp(-f) - mpmath.exp(-f_hat))
+            got = char_fn_diff_exact(pair, alpha, z)
+            assert abs(got - want) <= 1e-9 * max(f, f_hat) + 4 * EPS
+            m, m_hat = (x ** (1 / mpmath.mpf(alpha)) * 2 * mpmath.gamma(1 - 1 / mpmath.mpf(alpha))
+                        / mpmath.pi for x in (f, f_hat))
+            got = exact_stability_gap(pair, [z], 1.0, alpha)
+            assert abs(got - abs(m - m_hat)) <= (1e-9 + 64 * EPS) * max(m, m_hat)
 
 
 def test_closed_forms_run_no_quadrature(monkeypatch):
