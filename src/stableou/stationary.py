@@ -9,9 +9,12 @@ evaluated here by diagonalizing A once. Two cases have a closed form, exact
 to rounding: at alpha = 2 the exponent is u^T A^-1 u / 2, and in one
 dimension it is |u|^alpha / (alpha lambda). Otherwise (alpha < 2, d >= 2)
 adaptive Gauss-Legendre quadrature in log time gives it to about 1e-9
-relative, whatever the spread lambda_max / lambda_min. The module also
-carries the closed-form neighbor-dataset bounds on |psi - psi_hat| and the
-exact stability gap that the two stationary laws give a neighbour pair.
+relative, whatever the spread lambda_max / lambda_min. Its nodes depend on
+(lambda, alpha) only, so each law tabulates exp(-2 s lambda_i) at the first
+pass's nodes once, and each frequency's first pass is one matrix-vector
+product. The module also carries the closed-form neighbor-dataset bounds on
+|psi - psi_hat| and the exact stability gap that the two stationary laws give
+a neighbour pair, whose laws the pair builds once per alpha.
 """
 
 from __future__ import annotations
@@ -53,8 +56,12 @@ class StationaryCharFn:
     is reused, a matrix is symmetrized and decomposed once here. A must be
     strictly positive definite: the stationary law does not exist otherwise,
     and require_mixing raises DegenerateDataError. A matrix with a non-finite
-    entry is refused first, by sample_rows's ParameterError. Immutable
-    afterwards, so concurrent evaluation is safe.
+    entry is refused first, by sample_rows's ParameterError. At alpha < 2 and
+    d >= 2 the first quadrature also keeps the log-time interval and the first
+    pass's node table (_log_time_rule). Immutable afterwards, so concurrent
+    evaluation is safe: the kept rule is a function of (lambda, alpha) alone,
+    assigned in one step and never written again, so a race only builds the
+    same rule twice.
     """
 
     def __init__(self, A, alpha: float):
@@ -76,24 +83,42 @@ class StationaryCharFn:
         self.eigenvalues = lam
         self._q = q
         self.d = lam.shape[0]
+        self._rule = None
 
-    def _integrand(self, t: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """s ||exp(-s A) w||^alpha at s = e^t, the integrand in log time; w2 holds w_i^2."""
+    def _node_table(self, t: np.ndarray):
+        """s = e^t and the (len(t), d) table exp(-2 s lambda_i) at the log-time nodes t."""
         s = np.exp(t)
-        return (np.exp(s[:, None] * (-2.0 * self.eigenvalues)) @ w2) ** (self.alpha / 2.0) * s
+        return s, np.exp(s[:, None] * (-2.0 * self.eigenvalues))
 
-    def _estimates(self, lo: float, half: float, w2: np.ndarray):
-        """Estimates at _INITIAL_NODES, doubling up to _MAX_NODES; the first two share a pass."""
+    def _integrand(self, s: np.ndarray, table: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """s ||exp(-s A) w||^alpha at the nodes of _node_table's (s, table); w2 holds w_i^2."""
+        return (table @ w2) ** (self.alpha / 2.0) * s
+
+    def _log_time_rule(self):
+        """s0, log s0, the half-width of [log s0, log s1] and the first pass's node table."""
+        if self._rule is None:
+            lam_min, lam_max = float(self.eigenvalues[0]), float(self.eigenvalues[-1])
+            head = math.sqrt(_TAIL_TOL) / lam_max
+            lo = math.log(head)
+            hi = math.log(math.log(lam_max / (lam_min * _TAIL_TOL)) / (self.alpha * lam_min))
+            half = (hi - lo) / 2.0
+            paired = self._node_table(lo + half * _paired_rule(_INITIAL_NODES)[0])
+            self._rule = head, lo, half, paired
+        return self._rule
+
+    def _estimates(self, lo: float, half: float, paired, w2: np.ndarray):
+        """Estimates at _INITIAL_NODES, doubling up to _MAX_NODES; the first two share paired."""
         n = _INITIAL_NODES
         if 2 * n <= _MAX_NODES:
-            shifted, first, second = _paired_rule(n)
-            f = self._integrand(lo + half * shifted, w2)
+            _, first, second = _paired_rule(n)
+            f = self._integrand(*paired, w2)
             yield half * float(first @ f[:n])
             yield half * float(second @ f[n:])
             n *= 4
         while n <= _MAX_NODES:
             nodes, weights = _gauss_nodes(n)
-            yield half * float(weights @ self._integrand(lo + half * (nodes + 1.0), w2))
+            f = self._integrand(*self._node_table(lo + half * (nodes + 1.0)), w2)
+            yield half * float(weights @ f)
             n *= 2
 
     def exponent(self, u) -> float:
@@ -126,19 +151,20 @@ class StationaryCharFn:
 
         Gauss-Legendre rules in t = log s on [s0, s1]: the 64- and 128-node
         rules in one integrand pass, then 256 nodes, 512 and so on up to
-        _MAX_NODES. The first two successive estimates that agree give the
-        value; none agreeing is an AccuracyError carrying the last estimate.
+        _MAX_NODES. The interval and the first pass's (192, d) table of
+        exp(-2 s lambda_i) are the law's, built on its first quadrature, so
+        that pass costs one matrix-vector product and one power per w; every
+        later pass tabulates its own nodes. The first two successive estimates
+        that agree give the value; none agreeing is an AccuracyError carrying
+        the last estimate.
         Both cuts are relative to the lower bound 1 / (alpha lambda_max). The
         integrand lies in [exp(-alpha lambda_max s), 1], so the head up to
         s0 = sqrt(_TAIL_TOL) / lambda_max is s0 to alpha^2 _TAIL_TOL / 2, and
         the tail past s1 = log(kappa / _TAIL_TOL) / (alpha lambda_min) is below _TAIL_TOL.
         """
-        lam_min, lam_max = float(self.eigenvalues[0]), float(self.eigenvalues[-1])
-        head = math.sqrt(_TAIL_TOL) / lam_max
-        lo = math.log(head)
-        hi = math.log(math.log(lam_max / (lam_min * _TAIL_TOL)) / (self.alpha * lam_min))
+        head, lo, half, paired = self._log_time_rule()
         previous = None
-        for value in self._estimates(lo, (hi - lo) / 2.0, w2):
+        for value in self._estimates(lo, half, paired, w2):
             if previous is not None and abs(value - previous) <= _REL_TOL * value:
                 return lead * (head + value)
             previous = value
@@ -163,6 +189,8 @@ class NeighborPair:
     and v = x_i + xt_i. Its eigenvalues are (u.v +- ||u|| ||v||) / 2, so the
     sum of their absolute values is perturbation = ||u|| ||v|| exactly, which
     is |x_i^2 - xt_i^2| in one dimension, computed without squaring either row.
+    char_fn_diff_exact and exact_stability_gap read the two stationary laws
+    from the pair, which builds them on first use per alpha.
     """
 
     def __init__(self, X, X_hat):
@@ -185,6 +213,16 @@ class NeighborPair:
         x, xt = X[i], X_hat[i]
         self.perturbation = float(np.linalg.norm(x - xt) * np.linalg.norm(x + xt))
         self.sigma_min = float(np.minimum(self.problem.lambda_min, self.problem_hat.lambda_min))
+        self._laws = {}
+
+    def _stationary_laws(self, alpha: float):
+        """The two datasets' StationaryCharFns at alpha, built on first use per alpha."""
+        tail_index(alpha)
+        alpha = float(alpha)
+        if alpha not in self._laws:
+            self._laws[alpha] = (StationaryCharFn(self.problem, alpha),
+                                 StationaryCharFn(self.problem_hat, alpha))
+        return self._laws[alpha]
 
 
 def char_fn_diff_bound_1d(pair: NeighborPair, alpha: float, u: float) -> float:
@@ -221,8 +259,7 @@ def char_fn_diff_bound_dd(pair: NeighborPair, alpha: float, u) -> float:
 
 def char_fn_diff_exact(pair: NeighborPair, alpha: float, u) -> float:
     """|psi(u) - psi_hat(u)| from both isotropically driven stationary laws' exponents."""
-    sc = StationaryCharFn(pair.problem, alpha)
-    sc_hat = StationaryCharFn(pair.problem_hat, alpha)
+    sc, sc_hat = pair._stationary_laws(alpha)
     return abs(sc.evaluate(u) - sc_hat.evaluate(u))
 
 
@@ -251,7 +288,7 @@ def exact_stability_gap(pair: NeighborPair, probe_points, p: float, alpha: float
     lower bound on the uniform stability constant, a sup over all pairs.
     """
     probes = _gap_probes(pair, probe_points, p, alpha)
-    laws = (StationaryCharFn(pair.problem, alpha), StationaryCharFn(pair.problem_hat, alpha))
+    laws = pair._stationary_laws(alpha)
     moments = [
         [sas_abs_moment(p, alpha, law.exponent(z) ** (1.0 / alpha)) for law in laws]
         for z in probes

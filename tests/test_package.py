@@ -374,3 +374,33 @@ def test_no_module_has_an_unused_import():
                 if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append((path.name, alias.lineno, bound))
     assert unused == []
+
+
+# Standard-library names that exist only from Python 3.11: hashlib.file_digest,
+# the tomllib module, the ExceptionGroup builtin, typing.Self, datetime.UTC,
+# enum.StrEnum and asyncio.TaskGroup.
+NAMES_FROM_311 = {"file_digest", "tomllib", "ExceptionGroup", "Self", "UTC", "StrEnum",
+                  "TaskGroup"}
+
+
+def test_sources_parse_and_resolve_on_python_310():
+    # pyproject.toml allows Python 3.10, but tier-1 runs on 3.11 only, so this
+    # static check is the one guard for 3.10: every module must parse with the
+    # 3.10 grammar and use none of the names above, as a bare name, as an
+    # attribute of any object or in an import.
+    found = []
+    for path in sorted(Path(stableou.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names if name in NAMES_FROM_311]
+    assert found == []

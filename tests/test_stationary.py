@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -191,16 +193,93 @@ def test_capped_at_128_nodes_raises_with_the_128_node_estimate(monkeypatch):
     (np.diag([1.0, 1e3]), np.array([0.0, 1.0]), [192, 256]),  # 256 nodes agree with 128
 ])
 def test_integrand_passes(monkeypatch, A, u, nodes_per_pass):
+    # Every pass, the first one from the law's cached table included, goes
+    # through _integrand, so each call records each of its passes once.
     passes = []
     integrand = StationaryCharFn._integrand
 
-    def counting(self, t, w2):
-        passes.append(t.size)
-        return integrand(self, t, w2)
+    def counting(self, s, table, w2):
+        passes.append(s.size)
+        return integrand(self, s, table, w2)
 
     monkeypatch.setattr(StationaryCharFn, "_integrand", counting)
-    StationaryCharFn(A, 1.5).exponent(u)
+    sc = StationaryCharFn(A, 1.5)
+    sc.exponent(u)
     assert passes == nodes_per_pass
+    sc.exponent(u)
+    assert passes == nodes_per_pass * 2
+
+
+SPREAD_ALPHAS = [0.5, 1.2, 1.8]
+
+
+def uncached_exponent(sc, u):
+    """The quadrature with every node evaluated afresh for u, step for step as
+    the rule runs it: the 64- and 128-node rules in one pass, then 256, 512
+    and so on until two successive estimates agree to 1e-9."""
+    lam, alpha = sc.eigenvalues, sc.alpha
+    norm = math.hypot(*u)
+    sq = (sc._q.T @ (u / norm)) ** 2
+    head = math.sqrt(1e-10) / float(lam[-1])
+    lo = math.log(head)
+    hi = math.log(math.log(float(lam[-1]) / (float(lam[0]) * 1e-10)) / (alpha * float(lam[0])))
+    half = (hi - lo) / 2.0
+
+    def integrand(shifted):
+        s = np.exp(lo + half * shifted)
+        return (np.exp(s[:, None] * (-2.0 * lam)) @ sq) ** (alpha / 2.0) * s
+
+    (x1, w1), (x2, w2) = leggauss(64), leggauss(128)
+    f = integrand(np.concatenate((x1, x2)) + 1.0)
+    estimates, n = [half * float(w1 @ f[:64]), half * float(w2 @ f[64:])], 256
+    while abs(estimates[-1] - estimates[-2]) > 1e-9 * estimates[-1]:
+        nodes, weights = leggauss(n)
+        estimates.append(half * float(weights @ integrand(nodes + 1.0)))
+        n *= 2
+    return norm**alpha * (head + estimates[-1])
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("alpha", SPREAD_ALPHAS)
+def test_cached_node_table_keeps_every_bit(alpha, d, kappa):
+    # The law's first-pass table holds exactly the numbers a fresh pass
+    # computes, so each exponent equals the uncached rule's bit for bit, on
+    # the first call, on later frequencies and on a repeat of the first.
+    gen = RngStream(3400 + d).generator
+    q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    sc = StationaryCharFn((q * kappa ** np.linspace(0.0, 1.0, d)) @ q.T, alpha)
+    probes = [gen.standard_normal(d) * gen.uniform(0.2, 3.0) for _ in range(4)] + [q[:, -1]]
+    first = [sc.exponent(u) for u in probes]
+    assert first == [uncached_exponent(sc, u) for u in probes]
+    assert [sc.exponent(u) for u in probes] == first
+
+
+def test_concurrent_first_calls_keep_every_bit():
+    # Eight threads race to build one law's rule and one pair's laws, with
+    # the interpreter switching threads every microsecond. A race may build
+    # either twice; every value must still equal the serial one.
+    gen = RngStream(3450).generator
+    X = gen.standard_normal((80, 4))
+    X_hat = X.copy()
+    X_hat[0] = gen.standard_normal(4)
+    probes = gen.standard_normal((8, 4))
+    A = X.T @ X / 80
+
+    def both(sc, pair, u):
+        return sc.exponent(u), char_fn_diff_exact(pair, 1.5, u)
+
+    want = [both(StationaryCharFn(A, 1.5), NeighborPair(X, X_hat), u) for u in probes]
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(5):
+            sc, pair = StationaryCharFn(A, 1.5), NeighborPair(X, X_hat)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(both, sc, pair, u) for u in probes]
+                assert [f.result(timeout=60) for f in futures] == want
+    finally:
+        sys.setswitchinterval(switch)
 
 
 @pytest.mark.parametrize("kappa", [1e4, 1e6])
@@ -219,7 +298,6 @@ def test_spread_out_spectrum_matches_closed_forms(alpha, kappa):
     assert abs(value - exact) <= 1e-9 * exact  # no absolute floor: exact is 5e-9 to 2e-6
 
 
-SPREAD_ALPHAS = [0.5, 1.2, 1.8]
 SPREAD_KAPPAS = [1e2, 1e4, 1e6, 1e8]
 
 
@@ -387,6 +465,94 @@ def test_ordinary_data_matches_mpmath(alpha):
                         / mpmath.pi for x in (f, f_hat))
             got = exact_stability_gap(pair, [z], 1.0, alpha)
             assert abs(got - abs(m - m_hat)) <= (1e-9 + 64 * EPS) * max(m, m_hat)
+
+
+# Exact relations at the size the acceptance checks use: Gram matrices of
+# X ~ U(-a/2, a/2)^(1000 x 100), where no reference value is affordable.
+# kappa is about 3.6 at every a. Each tolerance was fixed from the rounding
+# analysis in its test's comment before the first run.
+SIZES_AT_D100 = [1.0, 8.0, 40.0]
+ALPHAS_AT_D100 = [0.5, 1.1, 1.5, 1.9]
+
+
+def uniform_pair(a, alpha):
+    """The pair (row 0 redrawn in X_hat) and three frequencies of norm about a / 4."""
+    gen = RngStream(3500 + int(a) + int(10 * alpha)).generator
+    X = gen.uniform(-a / 2.0, a / 2.0, (1000, 100))
+    X_hat = X.copy()
+    X_hat[0] = gen.uniform(-a / 2.0, a / 2.0, 100)
+    return NeighborPair(X, X_hat), gen.standard_normal((3, 100)) * (a / 40.0)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS_AT_D100)
+@pytest.mark.parametrize("a", SIZES_AT_D100)
+def test_exponent_is_homogeneous_at_d100(a, alpha):
+    # I(cu) = |c|^alpha I(u). A power of two c scales u and ||u|| exactly,
+    # so both calls integrate the same w_i^2 bit for bit; what differs is
+    # ||cu||^alpha against |c|^alpha ||u||^alpha, three pows of at most one
+    # ulp each and two products: 8 eps relative.
+    pair, probes = uniform_pair(a, alpha)
+    sc = StationaryCharFn(pair.problem, alpha)
+    for u in probes:
+        base = sc.exponent(u)
+        for c in (-1.0, -2.0, 0.25, 8.0):
+            want = abs(c) ** alpha * base
+            assert abs(sc.exponent(c * u) - want) <= 8 * EPS * want
+
+
+@pytest.mark.parametrize("alpha", ALPHAS_AT_D100)
+@pytest.mark.parametrize("a", SIZES_AT_D100)
+def test_exponent_scales_inversely_with_the_drift_at_d100(a, alpha):
+    # I_{cA}(u) = I_A(u) / c. eigh is backward stable: its eigenpairs are
+    # exact for a matrix within p(d) eps ||A|| of cA, which moves I by at most
+    # kappa p(d) eps relative, 8e-12 with p(d) = d^2. The log-time nodes
+    # shift by the rounding of log s0 and log s1, a few ulps of t, which moves
+    # each integrand value by at most alpha lambda_max s times that, under
+    # 1e-13 relative. Tolerance 1e-11 relative.
+    pair, probes = uniform_pair(a, alpha)
+    A = pair.problem.A
+    sc = StationaryCharFn(A, alpha)
+    for c in (0.25, 3.0):
+        scaled = StationaryCharFn(c * A, alpha)
+        for u in probes:
+            want = sc.exponent(u) / c
+            assert abs(scaled.exponent(u) - want) <= 1e-11 * want
+
+
+@pytest.mark.parametrize("alpha", ALPHAS_AT_D100)
+@pytest.mark.parametrize("a", SIZES_AT_D100)
+def test_exponent_lies_between_its_two_sided_bounds_at_d100(a, alpha):
+    # At unit w = Q^T u, sum_i w_i^2 / (alpha lambda_i) <= I(u) <=
+    # sum_i |w_i|^alpha / (alpha lambda_i), by the concavity and the
+    # subadditivity of x^(alpha / 2); along an eigenvector both sides meet,
+    # so the slowest and fastest eigenvectors probe the lower side closely.
+    # Slack 2e-9 relative: the rule's 1e-9 agreement, its head and tail cuts
+    # (2e-10 and 1e-10) and the bounds' 100-term sums (100 eps), rounded up.
+    pair, probes = uniform_pair(a, alpha)
+    problem = pair.problem
+    sc = StationaryCharFn(problem, alpha)
+    q, lam = problem.eigenvectors, problem.eigenvalues
+    for u in [z / np.linalg.norm(z) for z in probes] + [q[:, 0], q[:, -1]]:
+        w = q.T @ u
+        value = sc.exponent(u)
+        assert float(np.sum(w**2 / (alpha * lam))) * (1.0 - 2e-9) <= value
+        assert value <= float(np.sum(np.abs(w) ** alpha / (alpha * lam))) * (1.0 + 2e-9)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS_AT_D100)
+@pytest.mark.parametrize("a", SIZES_AT_D100)
+def test_exact_differences_are_symmetric_in_the_pair_at_d100(a, alpha):
+    # Swapping the datasets builds the same two problems with their roles
+    # swapped, and |x - y| = |y - x| exactly in floating point: tolerance 0.
+    # The gap at p = 1 is finite only for alpha > 1.
+    pair, probes = uniform_pair(a, alpha)
+    swapped = NeighborPair(pair.X_hat, pair.X)
+    for u in probes:
+        diff = char_fn_diff_exact(pair, alpha, u)
+        assert diff > 0.0 and diff == char_fn_diff_exact(swapped, alpha, u)
+    if alpha > 1.0:
+        gap = exact_stability_gap(pair, probes, 1.0, alpha)
+        assert gap > 0.0 and gap == exact_stability_gap(swapped, probes, 1.0, alpha)
 
 
 def test_closed_forms_run_no_quadrature(monkeypatch):
@@ -633,6 +799,47 @@ class TestDiffExact:
         )
         assert len(calls) == 2
         assert repr(exact) == repr(from_matrices)
+
+    def test_pair_builds_its_laws_once_per_alpha(self, monkeypatch):
+        built = []
+
+        class Counting(StationaryCharFn):
+            def __init__(self, A, alpha):
+                built.append(alpha)
+                super().__init__(A, alpha)
+
+        monkeypatch.setattr("stableou.stationary.StationaryCharFn", Counting)
+        gen = RngStream(69).generator
+        pair = make_pair_dd(gen)
+        probes = gen.standard_normal((3, 3))
+        laws = pair._stationary_laws(1.5)
+        for u in probes:
+            char_fn_diff_exact(pair, 1.5, u)
+        exact_stability_gap(pair, probes, 1.0, 1.5)
+        assert all(a is b for a, b in zip(pair._stationary_laws(1.5), laws))
+        assert built == [1.5, 1.5]
+        other = pair._stationary_laws(1.2)
+        assert built == [1.5, 1.5, 1.2, 1.2]
+        assert [law.alpha for law in other] == [1.2, 1.2]
+        assert not any(a is b for a, b in zip(other, laws))
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+    def test_cached_laws_give_the_fresh_laws_bits(self, alpha):
+        gen = RngStream(75).generator
+        pair = make_pair_dd(gen)
+        probes = gen.standard_normal((4, 3))
+
+        def fresh():
+            return StationaryCharFn(pair.problem, alpha), StationaryCharFn(pair.problem_hat, alpha)
+
+        for u in probes:
+            law, law_hat = fresh()
+            assert char_fn_diff_exact(pair, alpha, u) == abs(law.evaluate(u) - law_hat.evaluate(u))
+        laws = fresh()
+        moments = [[sas_abs_moment(1.0, alpha, law.exponent(z) ** (1.0 / alpha)) for law in laws]
+                   for z in probes]
+        want = max(abs(m - m_hat) for m, m_hat in moments)
+        assert exact_stability_gap(pair, probes, 1.0, alpha) == want
 
     def test_zero_data_column_is_rejected(self):
         gen = RngStream(68).generator
