@@ -201,7 +201,8 @@ def _chain(problem: QuadraticProblem, config: SimConfig, stream: RngStream, step
     The shocks are _driving_noise's for config.steps steps, value for value
     and in its stream order, drawn one block at a time; each block's iterates
     are written over its shocks, and no block after the one holding step
-    ``steps`` is drawn. Nothing is checked: the caller tests each block and
+    ``steps`` has its Gaussian rows drawn or its subordinator transformed
+    (_isotropic_blocks). Nothing is checked: the caller tests each block and
     sets the errstate.
     """
     params = StableParams(config.alpha, 1.0)
@@ -320,8 +321,11 @@ def stationary_sample(
     short, since the draws are still usable as rough approximations. The
     draws are rows of ``euler_maruyama_run``'s path at the same stream, but
     only the steps up to the last draw run, one block at a time, and only
-    the draws are kept. Raises AccuracyError if an iterate among those
-    steps is non-finite or above OVERFLOW_LIMIT in magnitude.
+    the draws are kept. The subordinator of steps that never run is drawn,
+    so that the stream order stays the path's, but never transformed or
+    kept, so the memory does not grow with config.steps. Raises
+    AccuracyError if an iterate among those steps is non-finite or above
+    OVERFLOW_LIMIT in magnitude.
     """
     n_samples = integer("n_samples", n_samples, least=0)
     thinning = integer("thinning", thinning, least=1)

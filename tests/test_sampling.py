@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -21,7 +22,9 @@ from stableou import (
     sample_skewed_positive_stable,
     sas_abs_moment,
 )
-from stableou.sampling import _BLOCK, _isotropic_blocks, _positive_exponentials, _uniform_angles
+from stableou import sampling
+from stableou.sampling import (_BLOCK, _angles, _bad_angles, _bad_exponentials, _exponentials,
+                               _isotropic_blocks, _positive_exponentials, _uniform_angles)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.3, 2.0001, 3.0])
@@ -206,23 +209,63 @@ def test_subordinator_in_blocks_matches_the_one_expression_transform(alpha_prime
         assert np.isinf(expected).any() and np.isnan(expected).any()
 
 
-@pytest.mark.parametrize("alpha", [0.3, 1.5, 2.0])
-def test_isotropic_blocks_are_the_one_block_draw_in_order(alpha):
+@pytest.mark.parametrize("widened", [False, True], ids=["rules", "widened_rules"])
+@pytest.mark.parametrize("rows, size", [(1, 300), (7, 7 * 40 + 3), (_BLOCK, 2 * _BLOCK + 5)])
+@pytest.mark.parametrize("alpha", [0.3, 1.5, 1.9, 2.0])
+def test_isotropic_blocks_are_the_one_block_draw_in_order(alpha, rows, size, widened, monkeypatch):
     # The same values and stream end state as one block; a consumer that
-    # stops early leaves the later Gaussian rows undrawn.
-    params, size = StableParams(alpha, 0.7), 2 * _BLOCK + 5
+    # stops early leaves the later Gaussian rows undrawn. Real draws almost
+    # never need a redraw, so widened rules (|u| >= 1.5, w <= 0.05) refuse
+    # about one angle and one exponential in 20, and some of their redraws
+    # too, for the block-at-a-time draw to replay.
+    if widened:
+        monkeypatch.setattr(sampling, "_ANGLE_LIMIT", 1.5)
+        monkeypatch.setattr(sampling, "_EXPONENTIAL_FLOOR", 0.05)
+        assert _bad_angles(_angles(RngStream(20).generator, size)).size > 0
+    params = StableParams(alpha, 0.7)
     whole, blocked = RngStream(20), RngStream(20)
     expected = sample_isotropic_stable(3, params, whole, size)
-    blocks = list(_isotropic_blocks(3, params, blocked, size, _BLOCK))
-    assert [len(b) for b in blocks] == [_BLOCK, _BLOCK, 5]
+    blocks = list(_isotropic_blocks(3, params, blocked, size, rows))
+    assert [len(b) for b in blocks] == [rows] * (size // rows) + [size % rows] * (size % rows > 0)
     np.testing.assert_array_equal(np.concatenate(blocks), expected)
     assert blocked.generator.bit_generator.state == whole.generator.bit_generator.state
     stopped, reference = RngStream(20), RngStream(20)
-    next(_isotropic_blocks(3, params, stopped, size, _BLOCK))
+    next(_isotropic_blocks(3, params, stopped, size, rows))
     if alpha != 2.0:
         sample_skewed_positive_stable(alpha / 2.0, reference, size)
-    reference.generator.standard_normal((_BLOCK, 3))
+    reference.generator.standard_normal((rows, 3))
     assert stopped.generator.bit_generator.state == reference.generator.bit_generator.state
+
+
+def test_widened_rules_redraw_in_several_rounds(monkeypatch):
+    # On the stream and size of the test above, the widened rules refuse some
+    # redrawn angles again, so the replay runs more than one round.
+    monkeypatch.setattr(sampling, "_ANGLE_LIMIT", 1.5)
+    monkeypatch.setattr(sampling, "_EXPONENTIAL_FLOOR", 0.05)
+    gen, rounds = RngStream(20).generator, []
+
+    def counted(draw):
+        def wrapped(gen, n):
+            rounds.append(n)
+            return draw(gen, n)
+        return wrapped
+
+    sampling._redraw(gen, counted(_angles), _bad_angles, _angles(gen, 2 * _BLOCK + 5))
+    assert len(rounds) >= 2
+
+
+def test_redraw_search_allocates_nothing_the_size_of_the_draw():
+    # A redraw is about 2^-53 likely per value, so the extremes are tested
+    # before any mask is made; a bool mask of these draws takes 100 kB.
+    gen = RngStream(21).generator
+    u, w = _angles(gen, 10**5), _exponentials(gen, 10**5)
+    tracemalloc.start()
+    try:
+        assert _bad_angles(u).size == 0 and _bad_exponentials(w).size == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**4
 
 
 def test_isotropic_rejects_bad_dimension():

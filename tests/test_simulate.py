@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -401,6 +402,22 @@ class TestStationarySample:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    @pytest.mark.parametrize("steps", [10**5, 10**6])
+    def test_noise_memory_does_not_grow_with_the_chain(self, steps):
+        # The same 9,100 steps run at either length, and their subordinator is
+        # made a block at a time. Drawing all config.steps subordinator values
+        # at once traced 1.7 MiB at 10^5 steps and 16.2 MiB at 10^6.
+        prob = QuadraticProblem(np.ones(4))
+        cfg = SimConfig(eta=0.1, steps=steps, alpha=1.5)
+        stream = RngStream(0)
+        tracemalloc.start()
+        try:
+            stationary_sample(prob, cfg, stream, 1000, thinning=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_divergence_in_a_later_block_names_its_step(self):
         prob = QuadraticProblem(np.ones(4))
         cfg = SimConfig(eta=0.1, steps=12000, alpha=0.3, noise_scale=1e290, burn_in=100)
@@ -437,6 +454,24 @@ class TestStationarySample:
         cfg = SimConfig(eta=0.01, steps=100000, alpha=2.0, noise_scale=1.0)
         s = stationary_sample(prob, cfg, RngStream(30), 10000, thinning=9)
         assert np.var(s[:, 0]) == pytest.approx(1.0, rel=0.1)
+
+
+def test_stepped_chains_keep_their_bytes():
+    # Chains of three blocks and more, at fixed seeds: their noise is drawn a
+    # block at a time with the one-block draw's values and stream order. A
+    # change to what a stepped chain computes must re-pin this hash.
+    digest = hashlib.sha256()
+    for alpha in (0.7, 1.5, 2.0):
+        for d in (1, 3):
+            q = np.linalg.qr(RngStream(2).generator.standard_normal((d, d)))[0]
+            prob = QuadraticProblem(np.sqrt(d * np.linspace(1.0, 2.0, d))[:, None] * q.T)
+            cfg = SimConfig(eta=0.1, steps=3 * _BLOCK + 123, alpha=alpha, burn_in=100)
+            traj = euler_maruyama_run(prob, cfg, stream=RngStream(30))
+            assert not traj.diverged
+            digest.update(traj.iterates.tobytes())
+            draws = stationary_sample(prob, cfg, RngStream(31), 1200, thinning=10)
+            digest.update(draws.tobytes())
+    assert digest.hexdigest() == "ec0a01deccf576ae2d27f574cf653ca07b064bd9d3a6b5a50e1cbc7d6422bb6a"
 
 
 def test_moment_stabilization_depends_on_order():
